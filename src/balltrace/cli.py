@@ -35,7 +35,7 @@ from .kernels import cauchy_kernel, cauchy_series, poisson_kernel
 from .membership import is_boundary_trace, sweep, szego_residual
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import SpherePolynomial, mc_moment, moment
-from .sphere import SphereSampler
+from .sphere import _MASK64, SphereSampler
 from .transforms import cauchy_transform_poly, poisson_transform_mc, radial_scan
 
 EXIT_OK = 0
@@ -52,7 +52,7 @@ class RunConfig:
     """One CLI invocation, validated.
 
     samples must be >= 2 for Monte-Carlo commands, radii must lie in [0, 1),
-    and the Lp exponent must satisfy p >= 1.
+    orders must be >= 0, and the Lp exponent must satisfy p >= 1.
     """
 
     command: str
@@ -69,6 +69,8 @@ class RunConfig:
     beta: MultiIndex | None = None
 
     def __post_init__(self):
+        if self.order is not None and self.order < 0:
+            raise UsageError(f"order must be >= 0, got {self.order}")
         if self.command in _MC_COMMANDS and self.samples < 2:
             raise PreconditionError(f"--samples must be >= 2, got {self.samples}")
         if any(not 0.0 <= r < 1.0 for r in self.radii):
@@ -225,7 +227,8 @@ def _cmd_verify(config: RunConfig) -> int:
 def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:
     """Seeded self-test: both directions of the moment characterization
     plus stochastic cross-checks of the exact integral calculus."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0xB417], dtype=np.uint64)))
+    key = np.array([seed & _MASK64, 0xB417], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
     checks: list[tuple[str, bool, str]] = []
 
     clean = 0
@@ -373,6 +376,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
             fields["radii"] = tuple(float(r) for r in args.radii.split(",") if r)
         except ValueError as exc:
             raise UsageError(f"bad radii list {args.radii!r}: {exc}") from exc
+        if not fields["radii"]:
+            raise UsageError("--radii must list at least one radius")
     if hasattr(args, "alpha"):
         fields["alpha"] = _parse_index(args.alpha)
         fields["beta"] = _parse_index(args.beta)

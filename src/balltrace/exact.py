@@ -90,6 +90,9 @@ class ComplexFraction:
         return ComplexFraction(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other) -> "ComplexFraction":
+        if isinstance(other, (int, Fraction)):
+            # a real factor scales both parts: exactly the promoted product
+            return ComplexFraction(self.re * other, self.im * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -184,6 +187,8 @@ def format_rational(q: RationalLike) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Parse "num/den" (or a bare integer string) into a Fraction."""
+    if not isinstance(text, str):
+        raise SchemaError(f"rational literal must be a string like \"p/q\", got {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -13,12 +13,22 @@ conditions, one per ordered pair of multi-indices (alpha, beta):
 Every pair falls in exactly one family: "some alpha_j > beta_j" is the
 negation of "beta dominates alpha".
 
+Both moments of a pair can be nonzero only when beta - alpha lies on one of
+f's difference lines d = mu - nu, so the sweep enumerates, for each alpha,
+only beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
+|indices|^2.
+
 Membership itself is decided in finite exact arithmetic through the Cauchy
 (Szego) projection: f is a trace iff the exact L2 residual of f minus its
 projection vanishes, in which case the projection is the holomorphic
-extension witness.  For non-members the condition sweep is guaranteed to
-expose a violated pair at some finite order, which the escalation search
-finds and returns as the counter-certificate.
+extension witness.  For a non-member the sweep at order max_degree + 1
+always returns a counter-certificate.  The conditions are linear and the
+projection C[f] satisfies all of them, so they hold for f exactly when they
+hold for the residual r = f - C[f].  r is orthogonal to every holomorphic
+monomial, so every right side moment(r, 0, lambda) vanishes and a pair is
+violated exactly when moment(r, alpha, beta) != 0.  Since
+||r||^2 = sum over r's terms of conj(c_{mu,nu}) moment(r, nu, mu) > 0, some
+pair (nu, mu) with |nu|, |mu| <= f.max_degree() is violated.
 """
 
 from __future__ import annotations
@@ -136,18 +146,20 @@ def check_condition(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) ->
 def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
     """All violated conditions with |alpha|, |beta| <= max_order, graded-lex order.
 
-    Both moments of a pair can be nonzero only when beta - alpha equals
-    mu - nu for one of f's terms, so pairs off those difference lines are
-    satisfied trivially and skipped without exact arithmetic.
+    Pairs off f's difference lines are satisfied trivially, so they are never
+    formed: for each alpha and each line d, beta = alpha + d is kept when it
+    is an index of the list (nonnegative, degree <= max_order).  Cost is
+    O(|indices| * lines) lookups plus one check per kept pair.
     """
-    diffs = {tuple(m - v for m, v in zip(mu, nu)) for (mu, nu) in f.terms}
     indices = graded_indices(f.dim, max_order)
+    position = {idx: j for j, idx in enumerate(indices)}
+    lines = f.lines()
     out = []
     for alpha in indices:
-        for beta in indices:
-            if tuple(b - a for a, b in zip(alpha, beta)) not in diffs:
-                continue
-            report = check_condition(f, alpha, beta)
+        hits = [position.get(tuple(a + x for a, x in zip(alpha, d))) for d in lines]
+        # sorted positions in the graded-lex list give the beta order of a full scan
+        for j in sorted(j for j in hits if j is not None):
+            report = check_condition(f, alpha, indices[j])
             if not report.satisfied:
                 out.append(report)
     return out
@@ -207,18 +219,21 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
 
     The decision itself comes from the exact Szego residual.  For a
     non-member, the sweep runs at sweep_order (default: the polynomial's
-    maximum degree plus one) and escalates by ESCALATION_STEP until some
-    violated condition appears; termination at a finite order is guaranteed
-    for residual_sq > 0, but no a-priori bound on that order is claimed, so
-    the certificate records where the search stopped.
+    maximum degree plus one, where a violation is guaranteed; see the module
+    docstring) and escalates by ESCALATION_STEP until some violated condition
+    appears.  After MAX_ESCALATIONS steps below that order it jumps straight
+    to it, so the search always ends; the certificate records the order where
+    it stopped.
     """
     residual_sq, g = szego_residual(f)
     if residual_sq == 0:
         return MembershipCertificate(
             member=True, residual_sq=residual_sq, witness_extension=g, violation=None
         )
-    order = sweep_order if sweep_order is not None else f.max_degree() + 1
-    for _ in range(MAX_ESCALATIONS):
+    bound = f.max_degree() + 1
+    order = sweep_order if sweep_order is not None else bound
+    steps = 0
+    while True:
         violations = sweep(f, order)
         if violations:
             logger.info("violation found at sweep order %d", order)
@@ -229,11 +244,13 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
                 violation=_worst_violation(violations),
                 violation_order=order,
             )
-        order += ESCALATION_STEP
-    raise RuntimeError(
-        f"no violated condition found up to order {order} despite residual "
-        f"{residual_sq} > 0; this contradicts the moment characterization"
-    )
+        if order >= bound:
+            raise RuntimeError(
+                f"no violated condition found at order {order} despite residual "
+                f"{residual_sq} > 0; this contradicts the moment characterization"
+            )
+        steps += 1
+        order = order + ESCALATION_STEP if steps < MAX_ESCALATIONS else bound
 
 
 def certificate_to_json(cert: MembershipCertificate, indent: int | None = 2) -> str:

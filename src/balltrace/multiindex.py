@@ -131,15 +131,16 @@ def graded_indices(dim: int, max_degree: int) -> list[MultiIndex]:
     return list(iter_graded(dim, max_degree))
 
 
-def monomial_norm_sq(idx: MultiIndex) -> Fraction:
+def monomial_norm_sq(idx: tuple[int, ...]) -> Fraction:
     """Exact squared L2 norm of zeta^idx on the unit sphere: (n-1)! idx! / (n-1+|idx|)!.
 
     Equals 1 for the zero index (the measure is normalized) and for every
     index when n = 1 (|zeta|=1 on the circle makes all these monomials
-    unimodular).
+    unimodular).  Takes a MultiIndex or a plain tuple of nonnegative ints,
+    so hot loops need not build a MultiIndex per term.
     """
-    n = idx.dim
+    n = len(idx)
     return Fraction(
-        math.factorial(n - 1) * idx.index_factorial(),
-        math.factorial(n - 1 + idx.degree),
+        math.factorial(n - 1) * math.prod(map(math.factorial, idx)),
+        math.factorial(n - 1 + sum(idx)),
     )

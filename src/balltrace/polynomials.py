@@ -10,9 +10,14 @@ orthogonality of sphere monomials:
 
 Everything else (moments, inner products, Szego projections, the membership
 conditions) follows from this identity by linearity, in exact rational
-arithmetic.  Two distinct term dictionaries can represent the same function
-on the sphere (the relation |zeta_1|^2+...+|zeta_n|^2 = 1); equality as
-boundary functions is decided by the exact L2 metric, never by normal forms.
+arithmetic.  A term zeta^mu conj(zeta)^nu pairs nontrivially with
+zeta^alpha conj(zeta)^beta only when beta - alpha = mu - nu, so every
+polynomial groups its terms by difference line d = mu - nu, and moments and
+inner products visit only the terms on the one line that can contribute.
+
+Two distinct term dictionaries can represent the same function on the
+sphere (the relation |zeta_1|^2+...+|zeta_n|^2 = 1); equality as boundary
+functions is decided by the exact L2 metric, never by normal forms.
 
 Monte-Carlo estimators provide the independent stochastic oracle for the
 same integrals: black-box integrands enter only through those paths.
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping
 
 import numpy as np
@@ -32,6 +38,7 @@ from .multiindex import MultiIndex, monomial_norm_sq
 from .sphere import SphereSampler, SpherePoint, mean_and_stderr, monomial_eval
 
 TermKey = tuple[MultiIndex, MultiIndex]
+Line = tuple[int, ...]
 
 
 def monomial_integral(w: MultiIndex, v: MultiIndex) -> Fraction:
@@ -50,7 +57,7 @@ class SpherePolynomial:
     operations (+, -, *, scalar multiples) and conjugation.
     """
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim", "_terms", "_lines")
 
     def __init__(self, dim: int, terms: Mapping[TermKey, ComplexFraction] | None = None):
         if dim < 1:
@@ -75,6 +82,7 @@ class SpherePolynomial:
                     del clean[key]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_lines", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("SpherePolynomial is immutable")
@@ -82,6 +90,22 @@ class SpherePolynomial:
     @property
     def terms(self) -> dict[TermKey, ComplexFraction]:
         return dict(self._terms)
+
+    def lines(self) -> Mapping[Line, tuple[tuple[MultiIndex, MultiIndex, ComplexFraction], ...]]:
+        """Terms grouped by difference line: {mu - nu: ((mu, nu, coeff), ...)}.
+
+        A line d is a plain int tuple and may have negative components.  The
+        grouping is built on first use and kept for the polynomial's life
+        (the terms never change); the returned mapping is read-only.
+        """
+        if self._lines is None:
+            groups: dict[Line, list] = {}
+            for (mu, nu), coeff in self._terms.items():
+                groups.setdefault(tuple(m - v for m, v in zip(mu, nu)), []).append((mu, nu, coeff))
+            object.__setattr__(
+                self, "_lines", MappingProxyType({d: tuple(g) for d, g in groups.items()})
+            )
+        return self._lines
 
     @classmethod
     def zero(cls, dim: int) -> "SpherePolynomial":
@@ -218,6 +242,15 @@ class SpherePolynomial:
         for i, entry in enumerate(doc["terms"]):
             if not isinstance(entry, dict) or not {"mu", "nu", "re", "im"} <= set(entry):
                 raise SchemaError(f"term #{i} must have keys mu, nu, re, im, got {entry!r}")
+            # JSON true/false and 1.0 would pass int() silently; exponents are integers only
+            if not all(
+                isinstance(entry[key], list) and all(type(c) is int for c in entry[key])
+                for key in ("mu", "nu")
+            ):
+                raise SchemaError(
+                    f"term #{i}: exponents must be lists of integers, "
+                    f"got mu={entry['mu']!r}, nu={entry['nu']!r}"
+                )
             try:
                 mu = MultiIndex(entry["mu"])
                 nu = MultiIndex(entry["nu"])
@@ -346,17 +379,16 @@ def moment(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ComplexF
     """Exact moment: integral of zeta^alpha conj(zeta)^beta f(zeta) dsigma.
 
     A term (mu, nu) contributes a_{mu,nu} * monomial_norm_sq(alpha+mu) exactly
-    when alpha+mu = beta+nu; everything else integrates to zero.
+    when alpha+mu = beta+nu, that is when it lies on the line d = beta - alpha;
+    everything else integrates to zero, so only that line is visited.
     """
-    if alpha.dim != f.dim or beta.dim != f.dim:
+    if len(alpha) != f.dim or len(beta) != f.dim:
         raise DimensionMismatchError(
-            f"index dimension {alpha.dim}/{beta.dim} does not match polynomial dimension {f.dim}"
+            f"index dimension {len(alpha)}/{len(beta)} does not match polynomial dimension {f.dim}"
         )
     total = ZERO
-    for (mu, nu), coeff in f._terms.items():
-        left = alpha + mu
-        if left == beta + nu:
-            total = total + coeff * monomial_norm_sq(left)
+    for mu, _, coeff in f.lines().get(tuple(b - a for a, b in zip(alpha, beta)), ()):
+        total = total + coeff * monomial_norm_sq(tuple(a + m for a, m in zip(alpha, mu)))
     return total
 
 
@@ -364,11 +396,14 @@ def inner_product(f: SpherePolynomial, g: SpherePolynomial) -> ComplexFraction:
     """Exact L2(sigma) inner product <f, g> = integral of f * conj(g); conjugate-linear in g."""
     f._check_same(g)
     total = ZERO
-    for (mu, nu), a in f._terms.items():
-        for (mu2, nu2), b in g._terms.items():
-            # <z^mu zbar^nu, z^mu2 zbar^nu2> = norm_sq(mu+nu2) iff mu+nu2 = nu+mu2
-            left = mu + nu2
-            if left == nu + mu2:
+    g_lines = g.lines()
+    for d, group in f.lines().items():
+        other = g_lines.get(d, ())
+        for mu, _, a in group:
+            for _, nu2, b in other:
+                # <z^mu zbar^nu, z^mu2 zbar^nu2> = norm_sq(mu+nu2) iff mu+nu2 = nu+mu2,
+                # i.e. iff both terms lie on the same line mu - nu = mu2 - nu2
+                left = tuple(m + v for m, v in zip(mu, nu2))
                 total = total + a * b.conjugate() * monomial_norm_sq(left)
     return total
 

@@ -50,6 +50,13 @@ class TestParsePolynomial:
 
 
 class TestCheckCommand:
+    def test_escalation_from_order_zero(self, capsys, tmp_path):
+        path = tmp_path / "conj140.json"
+        path.write_text('{"n": 1, "terms": [{"mu": [0], "nu": [140], "re": "1/1", "im": "0/1"}]}')
+        code, out, err = run(capsys, "check", "--input", str(path), "--sweep-order", "0")
+        assert code == 0 and err == ""
+        assert json.loads(out)["violation_order"] == 141
+
     def test_counterexample(self, capsys, counterexample_file):
         code, out, _ = run(capsys, "check", "--input", counterexample_file)
         assert code == 0
@@ -198,3 +205,43 @@ class TestExitCodes:
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
+
+    @pytest.mark.parametrize(
+        "term",
+        [
+            '{"mu": [1, 0], "nu": [0, 0], "re": 1.5, "im": "0/1"}',
+            '{"mu": [true, 0], "nu": [0, 0], "re": "1/1", "im": "0/1"}',
+        ],
+    )
+    def test_bad_term_is_schema_error(self, capsys, tmp_path, term):
+        path = tmp_path / "bad.json"
+        path.write_text('{"n": 2, "terms": [%s]}' % term)
+        code, _, err = run(capsys, "check", "--input", str(path))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--sweep-order", "-1"),
+            ("sweep", "--order", "-1"),
+            ("radial-scan", "--radii", ","),
+        ],
+    )
+    def test_bad_orders_and_radii_are_usage(self, capsys, coordinate_file, argv):
+        code, _, err = run(capsys, argv[0], "--input", coordinate_file, *argv[1:])
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_negative_constants_order_is_usage(self, capsys):
+        assert run(capsys, "constants", "--n", "2", "--order", "-1")[0] == 1
+
+    def test_negative_seed_wraps_like_the_sampler(self, capsys):
+        # seeds are taken mod 2^64, as sphere chunks take them
+        code, wrapped, _ = run(capsys, "verify", "--n", "1", "--seed", "-1", "--samples", "2000")
+        assert code == 0
+        _, unsigned, _ = run(
+            capsys, "verify", "--n", "1", "--seed", str(2**64 - 1), "--samples", "2000"
+        )
+        assert wrapped == unsigned

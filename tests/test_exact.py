@@ -95,6 +95,13 @@ class TestComplexArithmetic:
         assert a.conjugate().conjugate() == a
         assert a.abs_sq() == (a * a.conjugate()).re
 
+    @given(complexes, rationals, st.integers(-5, 5))
+    def test_real_factor_matches_promoted_product(self, a, q, k):
+        for r in (q, k):
+            promoted = a * ComplexFraction(r)
+            assert a * r == promoted
+            assert r * a == promoted
+
 
 class TestFloatConversion:
     @pytest.mark.parametrize(
@@ -135,3 +142,10 @@ class TestSerialization:
 
         with pytest.raises(SchemaError):
             parse_rational("one half")
+
+    @pytest.mark.parametrize("value", [1.5, 1, None])
+    def test_non_string_literal_rejected(self, value):
+        from balltrace.errors import SchemaError
+
+        with pytest.raises(SchemaError):
+            parse_rational(value)

@@ -181,6 +181,18 @@ class TestMembership:
         assert cert.member
         assert cert.witness_extension == HolomorphicPolynomial.monomial(2, (0, 0))
 
+    def test_escalation_reaches_max_degree_plus_one(self):
+        # 64 steps of 2 from order 0 stop at 126, below the degree 140 where
+        # the only violated pairs sit; the search must still end in a certificate
+        cert = is_boundary_trace(mono(1, (0,), (140,)), sweep_order=0)
+        assert not cert.member
+        assert cert.violation_order == 141
+        assert cert.violation.kind == "A" and not cert.violation.satisfied
+
+    def test_escalation_keeps_low_orders(self):
+        # the 1/5 vs 1/6 pair has degree 2: found after one step from order 0
+        assert is_boundary_trace(counterexample(), sweep_order=0).violation_order == 2
+
     def test_member_iff_zero_residual(self, rng):
         for _ in range(10):
             f = random_sphere_poly(rng, 2, 3)

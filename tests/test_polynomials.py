@@ -218,6 +218,12 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             SpherePolynomial.from_json_dict(doc)
 
+    @pytest.mark.parametrize("mu", [[True, 0], [1.0, 0], "10", None])
+    def test_non_integer_exponents_rejected(self, mu):
+        doc = {"n": 2, "terms": [{"mu": mu, "nu": [0, 0], "re": "1/1", "im": "0/1"}]}
+        with pytest.raises(SchemaError):
+            SpherePolynomial.from_json_dict(doc)
+
     def test_duplicate_terms_merge(self):
         term = {"mu": [1, 0], "nu": [0, 0], "re": "1/2", "im": "0/1"}
         doc = {"n": 2, "terms": [term, term]}
