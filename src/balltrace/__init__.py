@@ -42,7 +42,6 @@ from .transforms import (
     cauchy_transform_mc,
     cauchy_transform_poly,
     choose_poisson_order,
-    eval_holo,
     poisson_series_eval,
     poisson_series_tail,
     poisson_transform_mc,
@@ -94,7 +93,6 @@ __all__ = [
     "check_condition_a",
     "check_condition_b",
     "choose_poisson_order",
-    "eval_holo",
     "format_rational",
     "graded_indices",
     "herm_inner",

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -52,7 +53,7 @@ class RunConfig:
     """One CLI invocation, validated.
 
     samples must be >= 2 for Monte-Carlo commands, radii must lie in [0, 1),
-    orders must be >= 0, and the Lp exponent must satisfy p >= 1.
+    orders must be >= 0, and the Lp exponent must be finite with p >= 1.
     """
 
     command: str
@@ -75,8 +76,8 @@ class RunConfig:
             raise PreconditionError(f"--samples must be >= 2, got {self.samples}")
         if any(not 0.0 <= r < 1.0 for r in self.radii):
             raise DomainError(f"radii must lie in [0, 1), got {list(self.radii)}")
-        if self.p < 1:
-            raise DomainError(f"exponent must satisfy p >= 1, got {self.p}")
+        if not (math.isfinite(self.p) and self.p >= 1):
+            raise DomainError(f"exponent must be finite with p >= 1, got {self.p}")
 
 
 def _f17(x: float) -> str:
@@ -234,9 +235,8 @@ def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:
     clean = 0
     for _ in range(10):
         g = random_holomorphic_poly(rng, n, 3)
-        f = g.restrict_to_sphere()
-        residual_sq, _ = szego_residual(f)
-        if residual_sq == 0 and not sweep(f, f.max_degree() + 2):
+        residual_sq, _ = szego_residual(g)
+        if residual_sq == 0 and not sweep(g, g.max_degree() + 2):
             clean += 1
     checks.append(
         ("holomorphic data passes all conditions", clean == 10, f"{clean}/10 clean")
@@ -280,10 +280,9 @@ def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:
     checks.append(("kernel series and factorization hold", ok_kernel, "20 random pairs"))
 
     g = random_holomorphic_poly(rng, n, 2)
-    f = g.restrict_to_sphere()
-    witness = cauchy_transform_poly(f)
+    witness = cauchy_transform_poly(g)
     z = _random_ball_point(rng, n, 0.5)
-    est = poisson_transform_mc(lambda Z: f.eval(Z), z, SphereSampler(n, seed + 1), samples)
+    est = poisson_transform_mc(lambda Z: g.eval(Z), z, SphereSampler(n, seed + 1), samples)
     target = witness.eval(z)
     agree = abs(est.value - target) <= 4 * est.stderr + 1e-12
     checks.append(

@@ -134,9 +134,6 @@ class ComplexFraction:
         """|z|^2, exact."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is None:
@@ -160,8 +157,6 @@ class ComplexFraction:
 
 
 ZERO = ComplexFraction(0)
-ONE = ComplexFraction(1)
-I = ComplexFraction(0, 1)
 
 
 def to_float(q: RationalLike) -> float:

@@ -33,7 +33,6 @@ pair (nu, mu) with |nu|, |mu| <= f.max_degree() is violated.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,7 +181,7 @@ def szego_residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial
     data lies in every Lp, so membership does not depend on p).
     """
     g = cauchy_transform_poly(f)
-    residual_sq = l2_norm_sq(f - g.restrict_to_sphere())
+    residual_sq = l2_norm_sq(f - g)
     return residual_sq, g
 
 
@@ -251,7 +250,3 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
             )
         steps += 1
         order = order + ESCALATION_STEP if steps < MAX_ESCALATIONS else bound
-
-
-def certificate_to_json(cert: MembershipCertificate, indent: int | None = 2) -> str:
-    return json.dumps(cert.to_json_dict(), indent=indent)

@@ -2,7 +2,8 @@
 
 A sphere polynomial is a finite sum  f = sum a_{mu,nu} zeta^mu conj(zeta)^nu
 with exact ComplexFraction coefficients; it is the boundary-data
-representation every exact routine works on.  The integral oracle is the
+representation every exact routine works on.  Holomorphic polynomials (the
+extension witnesses) are the sphere polynomials with every nu = 0.  The integral oracle is the
 orthogonality of sphere monomials:
 
     integral of zeta^w conj(zeta)^v dsigma  =  0                if w != v,
@@ -85,7 +86,7 @@ class SpherePolynomial:
         object.__setattr__(self, "_lines", None)
 
     def __setattr__(self, name, value):
-        raise AttributeError("SpherePolynomial is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def terms(self) -> dict[TermKey, ComplexFraction]:
@@ -113,7 +114,8 @@ class SpherePolynomial:
 
     @classmethod
     def one(cls, dim: int) -> "SpherePolynomial":
-        return cls.monomial(dim, MultiIndex.zero(dim), MultiIndex.zero(dim))
+        # not cls.monomial: the witness subclass keys its monomials by mu alone
+        return SpherePolynomial.monomial(dim, MultiIndex.zero(dim), MultiIndex.zero(dim))
 
     @classmethod
     def monomial(cls, dim: int, mu, nu, coeff=1) -> "SpherePolynomial":
@@ -231,10 +233,11 @@ class SpherePolynomial:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpherePolynomial":
+        """Read a (mu, nu)-keyed document; always builds a SpherePolynomial."""
         if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
             raise SchemaError("polynomial document must have keys 'n' and 'terms'")
         dim = doc["n"]
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:  # JSON true would pass isinstance(dim, int)
             raise SchemaError(f"'n' must be a positive integer, got {dim!r}")
         if not isinstance(doc["terms"], list):
             raise SchemaError("'terms' must be a list")
@@ -263,63 +266,35 @@ class SpherePolynomial:
             coeff = complex_from_strings(entry)
             key = (mu, nu)
             terms[key] = terms.get(key, ZERO) + coeff
-        return cls(dim, terms)
+        return SpherePolynomial(dim, terms)
 
 
-class HolomorphicPolynomial:
-    """Finite power series sum b_mu z^mu; the extension-witness representation."""
+class HolomorphicPolynomial(SpherePolynomial):
+    """Finite power series sum b_mu z^mu; the extension-witness representation.
 
-    __slots__ = ("dim", "_terms")
+    A holomorphic polynomial is the sphere polynomial whose terms all have
+    nu = 0: it is stored as one, so every routine that takes a
+    SpherePolynomial takes it unchanged and computes the same values.  Only
+    the witness view is its own: the constructor, terms, sorted_terms and
+    monomial are keyed by mu alone, and repr and JSON omit nu.
+    """
+
+    __slots__ = ()
 
     def __init__(self, dim: int, terms: Mapping[MultiIndex, ComplexFraction] | None = None):
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
-        clean: dict[MultiIndex, ComplexFraction] = {}
-        for mu, coeff in (terms or {}).items():
-            if not isinstance(mu, MultiIndex):
-                mu = MultiIndex(mu)
-            if mu.dim != dim:
-                raise DimensionMismatchError(f"term {tuple(mu)} does not match dimension {dim}")
-            if not isinstance(coeff, ComplexFraction):
-                coeff = ComplexFraction(coeff)
-            if coeff:
-                cur = clean.get(mu)
-                total = coeff if cur is None else cur + coeff
-                if total:
-                    clean[mu] = total
-                elif cur is not None:
-                    del clean[mu]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HolomorphicPolynomial is immutable")
+        zero = (0,) * dim
+        super().__init__(dim, {(mu, zero): coeff for mu, coeff in (terms or {}).items()})
 
     @property
     def terms(self) -> dict[MultiIndex, ComplexFraction]:
-        return dict(self._terms)
-
-    @classmethod
-    def zero(cls, dim: int) -> "HolomorphicPolynomial":
-        return cls(dim)
+        return {mu: coeff for (mu, _), coeff in self._terms.items()}
 
     @classmethod
     def monomial(cls, dim: int, mu, coeff=1) -> "HolomorphicPolynomial":
         return cls(dim, {MultiIndex(mu): coeff})
 
     def sorted_terms(self) -> list[tuple[MultiIndex, ComplexFraction]]:
-        return [(mu, self._terms[mu]) for mu in sorted(self._terms, key=MultiIndex.sort_key)]
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HolomorphicPolynomial):
-            return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
+        return [(mu, coeff) for mu, _, coeff in super().sorted_terms()]
 
     def __repr__(self) -> str:
         parts = [f"{c!s}*z^{tuple(mu)}" for mu, c in self.sorted_terms()]
@@ -327,23 +302,7 @@ class HolomorphicPolynomial:
 
     def restrict_to_sphere(self) -> SpherePolynomial:
         """The same expression read as boundary data (all nu = 0)."""
-        zero = MultiIndex.zero(self.dim)
-        return SpherePolynomial(self.dim, {(mu, zero): c for mu, c in self._terms.items()})
-
-    def eval(self, z) -> complex | np.ndarray:
-        """Float evaluation at a point in C^n or an (N, n) batch."""
-        pt = np.asarray(z, dtype=np.complex128)
-        batched = pt.ndim == 2
-        if pt.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"point dimension {pt.shape[-1]} does not match polynomial dimension {self.dim}"
-            )
-        acc = np.zeros((pt.shape[0],) if batched else (), dtype=np.complex128)
-        if self._terms:
-            zp = _PowerTable(pt)
-            for mu, coeff in self._terms.items():
-                acc = acc + complex(coeff) * zp.monomial(mu)
-        return acc if batched else complex(acc)
+        return SpherePolynomial(self.dim, self._terms)
 
     def to_json_dict(self) -> dict:
         return {
@@ -470,12 +429,23 @@ def mc_moment(
     g(zeta).  The estimator is unbiased; the stochastic oracle against which
     every exact moment is cross-checked.
     """
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
     if alpha.dim != sampler.dim or beta.dim != sampler.dim:
         raise DimensionMismatchError("index dimension does not match sampler dimension")
+    return _weighted_mean(lambda batch: monomial_eval(batch, alpha, beta), g, sampler, n_samples)
+
+
+def _weighted_mean(
+    weight: Callable, g: Callable, sampler: SphereSampler, n_samples: int
+) -> MCEstimate:
+    """Mean of weight(zeta) * g(zeta) over the sampler's next n_samples points.
+
+    The one Monte-Carlo estimator body: moments weigh by a monomial, kernel
+    transforms by a kernel.  Weights are computed before the integrand.
+    """
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples for a standard error")
     batch = sampler.sample_batch(n_samples)
+    weights = weight(batch)
     vals = _eval_black_box(g, batch)
-    weighted = monomial_eval(batch, alpha, beta) * vals
-    value, stderr = mean_and_stderr(weighted)
+    value, stderr = mean_and_stderr(weights * vals)
     return MCEstimate(value=value, stderr=stderr, samples=n_samples, seed=sampler.seed)

@@ -104,12 +104,11 @@ def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
             f"index dimension {alpha.dim}/{beta.dim} does not match point dimension {n}"
         )
     out = np.ones(z.shape[0] if batched else (), dtype=np.complex128)
-    zc = np.conj(z)
     for k in range(n):
         if alpha[k]:
             out = out * z[..., k] ** alpha[k]
         if beta[k]:
-            out = out * zc[..., k] ** beta[k]
+            out = out * np.conj(z[..., k]) ** beta[k]
     return out if batched else complex(out)
 
 

@@ -44,13 +44,8 @@ from .errors import ConvergenceError, DimensionMismatchError, DomainError
 from .exact import ComplexFraction
 from .kernels import cauchy_kernel, poisson_kernel, series_tail_bound
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
-from .polynomials import (
-    HolomorphicPolynomial,
-    MCEstimate,
-    SpherePolynomial,
-    _eval_black_box,
-)
-from .sphere import SphereSampler, mean_and_stderr
+from .polynomials import HolomorphicPolynomial, MCEstimate, SpherePolynomial, _weighted_mean
+from .sphere import SphereSampler, monomial_eval
 
 RADIAL_TAIL_TOL = 1e-8      # truncation budget used by radial_scan
 MAX_SERIES_ORDER = 4096     # hard cap for automatic order selection
@@ -64,7 +59,8 @@ def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
     the exact L2 inner product; see the module docstring for the term rule.
     """
     out: dict[MultiIndex, ComplexFraction] = {}
-    for (mu, nu), coeff in f.terms.items():
+    # the stored (mu, nu) terms in insertion order, also when f is itself a witness
+    for (mu, nu), coeff in f._terms.items():
         if not mu.dominates(nu):
             continue
         w = mu - nu
@@ -76,11 +72,6 @@ def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
         elif cur is not None:
             del out[w]
     return HolomorphicPolynomial(f.dim, out)
-
-
-def eval_holo(g: HolomorphicPolynomial, z) -> complex | np.ndarray:
-    """Float evaluation of a holomorphic polynomial (alias of g.eval)."""
-    return g.eval(z)
 
 
 def cauchy_transform_mc(
@@ -107,13 +98,7 @@ def _kernel_transform_mc(kernel, g, z, sampler, n_samples) -> MCEstimate:
         )
     if float(np.linalg.norm(zv)) >= 1.0:
         raise DomainError("transform point must lie inside the open ball")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    batch = sampler.sample_batch(n_samples)
-    weights = kernel(zv, batch)
-    vals = _eval_black_box(g, batch)
-    value, stderr = mean_and_stderr(weights * vals)
-    return MCEstimate(value=value, stderr=stderr, samples=n_samples, seed=sampler.seed)
+    return _weighted_mean(lambda batch: kernel(zv, batch), g, sampler, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +106,14 @@ def _kernel_transform_mc(kernel, g, z, sampler, n_samples) -> MCEstimate:
 
 
 def _split_terms(f: SpherePolynomial):
-    """Separate collapsible terms (mu = 0 or nu = 0) from mixed ones."""
-    collapsed = []   # (conj_side: bool, idx, coeff)
-    mixed = []       # (mu, nu, coeff)
-    for (mu, nu), coeff in f.terms.items():
-        if nu.degree == 0:
-            collapsed.append((False, mu, coeff))
-        elif mu.degree == 0:
-            collapsed.append((True, nu, coeff))
-        else:
-            mixed.append((mu, nu, coeff))
+    """Separate collapsible terms (mu = 0 or nu = 0) from mixed ones.
+
+    Both lists hold (mu, nu, coeff) in f's stored term order, which fixes the
+    order of the float sums.
+    """
+    collapsed, mixed = [], []
+    for (mu, nu), coeff in f._terms.items():
+        (mixed if mu.degree and nu.degree else collapsed).append((mu, nu, coeff))
     return collapsed, mixed
 
 
@@ -216,18 +199,13 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
     collapsed, mixed = _split_terms(f)
     total = np.zeros(Z.shape[0], dtype=np.complex128)
 
-    wanted = [order] + [order - idx.degree for _, idx, _ in collapsed]
+    wanted = [order] + [order - mu.degree - nu.degree for mu, nu, _ in collapsed]
     sums = _binom_partial_sums(s, wanted, f.dim)
     normalizer = sums[order]
 
-    if collapsed:
-        for conj_side, idx, coeff in collapsed:
-            base = np.conj(Z) if conj_side else Z
-            mono = np.ones(Z.shape[0], dtype=np.complex128)
-            for k in range(f.dim):
-                if idx[k]:
-                    mono = mono * base[:, k] ** idx[k]
-            total = total + complex(coeff) * mono * sums[order - idx.degree]
+    for mu, nu, coeff in collapsed:
+        mono = monomial_eval(Z, mu, nu)
+        total = total + complex(coeff) * mono * sums[order - mu.degree - nu.degree]
 
     for mu, nu, coeff in mixed:
         delta_plus, delta_minus, etas, qs = _mixed_term_plan(mu, nu, order)
@@ -246,12 +224,7 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
                     if eta[k]:
                         term = term * pows[k][eta[k]]
                 acc += term
-            mono = np.ones(zb.shape[0], dtype=np.complex128)
-            for k in range(f.dim):
-                if delta_plus[k]:
-                    mono = mono * zb[:, k] ** delta_plus[k]
-                if delta_minus[k]:
-                    mono = mono * np.conj(zb[:, k]) ** delta_minus[k]
+            mono = monomial_eval(zb, delta_plus, delta_minus)
             total[blk] = total[blk] + complex(coeff) * mono * acc
 
     result = total / normalizer
@@ -284,12 +257,13 @@ def poisson_series_tail(f: SpherePolynomial, radius: float, order: int) -> float
     numer_tail = 0.0
     value_bound = 0.0  # bound on |truncated value|, used for the normalizer part
     norm_partial = sum(math.comb(j + n - 1, n - 1) * s**j for j in range(order + 1))
-    for _, idx, coeff in collapsed:
+    for mu, nu, coeff in collapsed:
         mass = math.sqrt(float(coeff.abs_sq()))
-        k = order - idx.degree
+        degree = mu.degree + nu.degree
+        k = order - degree
         scalar_tail = series_tail_bound(s, k, n) if k >= 0 else (1.0 - s) ** (-n)
-        numer_tail += mass * radius ** idx.degree * scalar_tail
-        value_bound += mass  # |z^idx| G_k <= G_order = the normalizer
+        numer_tail += mass * radius ** degree * scalar_tail
+        value_bound += mass  # |z^mu conj(z)^nu| G_k <= G_order = the normalizer
     if mixed:
         full = (1.0 - radius) ** (-n)
         partial = sum(math.comb(j + n - 1, n - 1) * radius**j for j in range(order + 1))
@@ -377,8 +351,8 @@ def radial_scan(
     sample counts.  The Poisson values come from the truncated series with
     order selected so the certified tail is below tail_tol.
     """
-    if p < 1:
-        raise DomainError(f"exponent must satisfy p >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise DomainError(f"exponent must be finite with p >= 1, got {p}")
     if any(not 0.0 <= r < 1.0 for r in radii):
         raise DomainError(f"radii must lie in [0, 1), got {list(radii)}")
     if n_samples < 2:

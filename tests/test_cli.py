@@ -9,6 +9,62 @@ from balltrace.polynomials import SpherePolynomial
 COUNTEREXAMPLE = '{"n": 2, "terms": [{"mu": [1, 1], "nu": [1, 1], "re": "1/1", "im": "0/1"}]}'
 COORDINATE = '{"n": 2, "terms": [{"mu": [1, 0], "nu": [0, 0], "re": "1/1", "im": "0/1"}]}'
 
+# exact stdout of `check` on the two documents above, pinned byte for byte
+COORDINATE_CHECK = """{
+  "member": true,
+  "residual_sq": "0/1",
+  "residual_sq_float": "0",
+  "witness_extension": {
+    "n": 2,
+    "terms": [
+      {
+        "mu": [
+          1,
+          0
+        ],
+        "re": "1/1",
+        "im": "0/1"
+      }
+    ]
+  }
+}
+"""
+COUNTEREXAMPLE_CHECK = """{
+  "member": false,
+  "residual_sq": "1/180",
+  "residual_sq_float": "0.0055555555555555558",
+  "violation": {
+    "kind": "B",
+    "alpha": [
+      1,
+      1
+    ],
+    "beta": [
+      1,
+      1
+    ],
+    "lhs": {
+      "re": "1/5",
+      "im": "0/1"
+    },
+    "rhs": {
+      "re": "1/6",
+      "im": "0/1"
+    },
+    "lhs_float": {
+      "re": "0.20000000000000001",
+      "im": "0"
+    },
+    "rhs_float": {
+      "re": "0.16666666666666666",
+      "im": "0"
+    },
+    "satisfied": false
+  },
+  "violation_order": 3
+}
+"""
+
 
 @pytest.fixture
 def counterexample_file(tmp_path):
@@ -71,6 +127,12 @@ class TestCheckCommand:
         doc = json.loads(out)
         assert doc["member"] is True
         assert doc["witness_extension"]["terms"] == [{"mu": [1, 0], "re": "1/1", "im": "0/1"}]
+
+    def test_member_stdout_bytes(self, capsys, coordinate_file):
+        assert run(capsys, "check", "--input", coordinate_file) == (0, COORDINATE_CHECK, "")
+
+    def test_counterexample_stdout_bytes(self, capsys, counterexample_file):
+        assert run(capsys, "check", "--input", counterexample_file) == (0, COUNTEREXAMPLE_CHECK, "")
 
     def test_byte_stable(self, capsys, counterexample_file):
         _, first, _ = run(capsys, "check", "--input", counterexample_file)
@@ -168,8 +230,9 @@ class TestRunConfig:
             RunConfig(command="radial-scan", samples=1)
         with pytest.raises(DomainError):
             RunConfig(command="radial-scan", radii=(0.5, 1.0))
-        with pytest.raises(DomainError):
-            RunConfig(command="radial-scan", p=0.5)
+        for p in (0.5, float("nan"), float("inf")):
+            with pytest.raises(DomainError):
+                RunConfig(command="radial-scan", p=p)
         RunConfig(command="check")  # defaults are valid
 
     def test_too_few_samples_exit_code(self, capsys, coordinate_file):
@@ -191,17 +254,21 @@ class TestExitCodes:
 
     def test_schema_error_is_usage(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text('{"n": 2}')
-        code, _, err = run(capsys, "check", "--input", str(path))
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "SchemaError"
+        # JSON true is an int to isinstance; n must be a JSON integer
+        as_n1 = '{"n": true, "terms": [{"mu": [1], "nu": [0], "re": "1/1", "im": "0/1"}]}'
+        for text in ('{"n": 2}', as_n1):
+            path.write_text(text)
+            code, out, err = run(capsys, "check", "--input", str(path))
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"]["type"] == "SchemaError"
 
     def test_domain_error_is_precondition(self, capsys, coordinate_file):
-        code, _, err = run(
-            capsys, "radial-scan", "--input", coordinate_file, "--p", "0.5", "--samples", "100"
-        )
-        assert code == 2
-        assert json.loads(err)["error"]["type"] == "DomainError"
+        for p in ("0.5", "nan", "inf"):
+            code, out, err = run(
+                capsys, "radial-scan", "--input", coordinate_file, "--p", p, "--samples", "100"
+            )
+            assert code == 2 and out == ""
+            assert json.loads(err)["error"]["type"] == "DomainError"
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -13,7 +13,6 @@ from balltrace.transforms import (
     cauchy_transform_mc,
     cauchy_transform_poly,
     choose_poisson_order,
-    eval_holo,
     poisson_series_eval,
     poisson_series_tail,
     poisson_transform_mc,
@@ -93,9 +92,9 @@ class TestCauchyTransformPoly:
 class TestEvalHolo:
     def test_examples(self):
         g = HolomorphicPolynomial.monomial(2, (1, 0))
-        assert eval_holo(g, np.array([0.5, 0.0])) == 0.5
-        assert eval_holo(HolomorphicPolynomial.monomial(2, (0, 0)), np.array([0.1, 0.2])) == 1
-        assert eval_holo(HolomorphicPolynomial.zero(2), np.array([0.1, 0.2])) == 0
+        assert g.eval(np.array([0.5, 0.0])) == 0.5
+        assert HolomorphicPolynomial.monomial(2, (0, 0)).eval(np.array([0.1, 0.2])) == 1
+        assert HolomorphicPolynomial.zero(2).eval(np.array([0.1, 0.2])) == 0
 
 
 class TestMCTransforms:
@@ -170,7 +169,7 @@ class TestPoissonSeries:
             z = rng.normal(size=2) + 1j * rng.normal(size=2)
             z *= rng.uniform(0, 0.6) / np.linalg.norm(z)
             order = choose_poisson_order(f, float(np.linalg.norm(z)), 1e-10)
-            assert poisson_series_eval(f, z, order) == pytest.approx(eval_holo(g, z), abs=1e-8)
+            assert poisson_series_eval(f, z, order) == pytest.approx(g.eval(z), abs=1e-8)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 4, 7])
     def test_matches_enumerated_double_sum(self, rng, order):
@@ -267,3 +266,6 @@ class TestRadialScan:
             radial_scan(f, 0.5, [0.5], SphereSampler(2, 0), 100)
         with pytest.raises(DomainError):
             radial_scan(f, 2.0, [1.0], SphereSampler(2, 0), 100)
+        for p in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                radial_scan(f, p, [0.5], SphereSampler(2, 0), 100)
