@@ -16,6 +16,10 @@ zeta^alpha conj(zeta)^beta only when beta - alpha = mu - nu, so every
 polynomial groups its terms by difference line d = mu - nu, and moments and
 inner products visit only the terms on the one line that can contribute.
 
+The exact Laplacian sum_j d/dz_j d/dconj(z_j) splits f on the sphere into
+bigraded harmonic components H(p,q) (SpherePolynomial.harmonics), the
+pieces on which the Poisson series of transforms is one scalar series each.
+
 Two distinct term dictionaries can represent the same function on the
 sphere (the relation |zeta_1|^2+...+|zeta_n|^2 = 1); equality as boundary
 functions is decided by the exact L2 metric, never by normal forms.
@@ -26,6 +30,7 @@ same integrals: black-box integrands enter only through those paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -58,7 +63,7 @@ class SpherePolynomial:
     operations (+, -, *, scalar multiples) and conjugation.
     """
 
-    __slots__ = ("dim", "_terms", "_lines")
+    __slots__ = ("dim", "_terms", "_lines", "_harmonics")
 
     def __init__(self, dim: int, terms: Mapping[TermKey, ComplexFraction] | None = None):
         if dim < 1:
@@ -84,6 +89,7 @@ class SpherePolynomial:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_lines", None)
+        object.__setattr__(self, "_harmonics", None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -107,6 +113,53 @@ class SpherePolynomial:
                 self, "_lines", MappingProxyType({d: tuple(g) for d, g in groups.items()})
             )
         return self._lines
+
+    def harmonics(self) -> Mapping[tuple[int, int], "SpherePolynomial"]:
+        """Bigraded harmonic components on the sphere: {(p, q): h}, sorted by (p, q).
+
+        Each h is homogeneous of bidegree (p, q) with laplacian(h) = 0, so it
+        lies in H(p, q), and the components sum to f on the sphere.  A
+        homogeneous part F of bidegree (a, b) is sum_k |z|^(2k) h_k with h_k
+        in H(a-k, b-k), and |z| = 1 on the sphere; with L = laplacian,
+            h_k     = c_k harm(L^k F),   c_k = (n+m-1)! / (k! (n+m+k-1)!),
+            harm(G) = sum_j a_j |z|^(2j) L^j G,
+            a_0 = 1,  a_j = -a_(j-1) / (j (n+m-j-1)),
+        where m = a + b - 2k is the total degree of L^k F.  Built on first use
+        and kept for the polynomial's life, like lines(); the mapping is
+        read-only.
+        """
+        if self._harmonics is None:
+            n = self.dim
+            shell = SpherePolynomial(
+                n, {(MultiIndex.unit(n, k), MultiIndex.unit(n, k)): 1 for k in range(n)}
+            )
+            parts: dict[tuple[int, int], dict[TermKey, ComplexFraction]] = {}
+            for (mu, nu), coeff in self._terms.items():
+                parts.setdefault((mu.degree, nu.degree), {})[(mu, nu)] = coeff
+            out: dict[tuple[int, int], SpherePolynomial] = {}
+            for (a, b), terms in parts.items():
+                lap = [SpherePolynomial(n, terms)]
+                for _ in range(min(a, b)):
+                    lap.append(laplacian(lap[-1]))
+                for k in range(min(a, b) + 1):
+                    m = a + b - 2 * k
+                    weights = [Fraction(1)]
+                    for j in range(1, min(a, b) - k + 1):
+                        weights.append(-weights[-1] / (j * (n + m - j - 1)))
+                    h = SpherePolynomial.zero(n)
+                    for j in reversed(range(len(weights))):  # Horner in |z|^2
+                        h = shell * h + lap[k + j].scale(weights[j])
+                    c_k = Fraction(
+                        math.factorial(n + m - 1), math.factorial(k) * math.factorial(n + m + k - 1)
+                    )
+                    key = (a - k, b - k)
+                    out[key] = h.scale(c_k) + out.get(key, SpherePolynomial.zero(n))
+            object.__setattr__(
+                self,
+                "_harmonics",
+                MappingProxyType({pq: out[pq] for pq in sorted(out) if not out[pq].is_zero()}),
+            )
+        return self._harmonics
 
     @classmethod
     def zero(cls, dim: int) -> "SpherePolynomial":
@@ -212,15 +265,18 @@ class SpherePolynomial:
             raise DimensionMismatchError(
                 f"point dimension {z.shape[-1]} does not match polynomial dimension {self.dim}"
             )
-        shape = (z.shape[0],) if batched else ()
-        acc = np.zeros(shape, dtype=np.complex128)
-        if not self._terms:
-            return acc if batched else complex(acc)
-        zp = _PowerTable(z)
-        zc = _PowerTable(np.conj(z))
+        if self._terms:
+            acc = self._eval_on(_PowerTable(z), _PowerTable(np.conj(z)))
+        else:
+            acc = np.zeros((z.shape[0],) if batched else (), dtype=np.complex128)
+        return acc if batched else complex(acc)
+
+    def _eval_on(self, zp: "_PowerTable", zc: "_PowerTable"):
+        """Sum of the terms on the points of the power tables of z and conj(z)."""
+        acc = np.zeros(zp.z.shape[:-1], dtype=np.complex128)
         for (mu, nu), coeff in self._terms.items():
             acc = acc + complex(coeff) * zp.monomial(mu) * zc.monomial(nu)
-        return acc if batched else complex(acc)
+        return acc
 
     def to_json_dict(self) -> dict:
         return {
@@ -332,6 +388,23 @@ class _PowerTable:
             if idx[k]:
                 out = out * self.power(k, idx[k])
         return out
+
+
+def laplacian(f: SpherePolynomial) -> SpherePolynomial:
+    """Exact sum_j d/dz_j d/dconj(z_j) of f read as a polynomial in z and conj(z).
+
+    It acts on the expression, not on the boundary function: |z|^2 and 1 are
+    different polynomials here.  A term (mu, nu) maps to
+    sum_j mu_j nu_j z^(mu - e_j) conj(z)^(nu - e_j).
+    """
+    out: dict[TermKey, ComplexFraction] = {}
+    for (mu, nu), coeff in f._terms.items():
+        for j in range(f.dim):
+            if mu[j] and nu[j]:
+                e = MultiIndex.unit(f.dim, j)
+                key = (mu - e, nu - e)
+                out[key] = out.get(key, ZERO) + coeff * (mu[j] * nu[j])
+    return SpherePolynomial(f.dim, out)
 
 
 def moment(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ComplexFraction:

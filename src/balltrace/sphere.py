@@ -11,7 +11,9 @@ of fixed-size chunks (CHUNK_DRAWS points each); chunk k is generated by a
 Philox counter-based generator keyed with the 128-bit key (seed, k).  The
 stream therefore depends only on (seed, dimension), never on how callers
 slice their batch requests, and disjoint chunks can be generated in
-parallel and merged in chunk order.
+parallel and merged in chunk order.  A request generates only the rows of
+a chunk it reaches: Philox fills the draws row by row, so a prefix equals
+the first rows of the whole chunk.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ RENORMALIZE_TOL = 1e-8      # construction renormalizes within this drift
 CHUNK_DRAWS = 1 << 16       # points per RNG chunk; part of the stream format
 
 _MASK64 = (1 << 64) - 1
+_ZERO_NORM = 1e-150         # Gaussian rows shorter than this are redrawn
 
 
 def as_point(coords) -> np.ndarray:
@@ -112,22 +115,30 @@ def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     return out if batched else complex(out)
 
 
-def _chunk(seed: int, dim: int, k: int) -> np.ndarray:
-    """Generate chunk k of the (seed, dim) stream: (CHUNK_DRAWS, dim) unit rows."""
+def _chunk(seed: int, dim: int, k: int, rows: int = CHUNK_DRAWS) -> np.ndarray:
+    """Rows [0, rows) of chunk k of the (seed, dim) stream: (rows, dim) unit rows.
+
+    Philox fills the (rows, 2 dim) Gaussian draw row by row, so a prefix is
+    the same as the first rows of the whole chunk.  An exactly-zero Gaussian
+    row (probability 0) is redrawn from the stream past the whole chunk, so
+    a prefix that holds one is regenerated as the whole chunk.
+    """
     key = np.array([seed & _MASK64, k & _MASK64], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    x = rng.standard_normal((CHUNK_DRAWS, 2 * dim))
-    z = x[:, :dim] + 1j * x[:, dim:]
-    norms = np.linalg.norm(z, axis=1)
-    # an exactly-zero Gaussian vector has probability 0; redraw just in case
-    bad = norms < 1e-150
+    for size in (rows, CHUNK_DRAWS):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        x = rng.standard_normal((size, 2 * dim))
+        z = x[:, :dim] + 1j * x[:, dim:]
+        norms = np.linalg.norm(z, axis=1)
+        bad = norms < _ZERO_NORM
+        if size == CHUNK_DRAWS or not np.any(bad):
+            break
     while np.any(bad):
         m = int(np.count_nonzero(bad))
         y = rng.standard_normal((m, 2 * dim))
         z[bad] = y[:, :dim] + 1j * y[:, dim:]
         norms[bad] = np.linalg.norm(z[bad], axis=1)
-        bad = norms < 1e-150
-    return z / norms[:, None]
+        bad = norms < _ZERO_NORM
+    return z[:rows] / norms[:rows, None]
 
 
 class SphereSampler:
@@ -146,9 +157,15 @@ class SphereSampler:
         self._cache_idx = -1
         self._cache = None
 
-    def _chunk_cached(self, k: int) -> np.ndarray:
-        if k != self._cache_idx:
-            self._cache = _chunk(self.seed, self.dim, k)
+    def _chunk_rows(self, k: int, rows: int) -> np.ndarray:
+        """At least the first `rows` rows of chunk k, generated as a prefix.
+
+        A request past the cached rows regenerates a prefix at least twice
+        as long, so many small requests cost O(rows) draws in total.
+        """
+        if k != self._cache_idx or self._cache.shape[0] < rows:
+            grown = rows if k != self._cache_idx else max(rows, 2 * self._cache.shape[0])
+            self._cache = _chunk(self.seed, self.dim, k, min(grown, CHUNK_DRAWS))
             self._cache_idx = k
         return self._cache
 
@@ -162,7 +179,7 @@ class SphereSampler:
         while remaining > 0:
             k, off = divmod(pos, CHUNK_DRAWS)
             take = min(remaining, CHUNK_DRAWS - off)
-            pieces.append(self._chunk_cached(k)[off:off + take])
+            pieces.append(self._chunk_rows(k, off + take)[off:off + take])
             pos += take
             remaining -= take
         self.counter = pos

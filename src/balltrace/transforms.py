@@ -19,17 +19,32 @@ moment expansion
               norm_sq(w)^(-1) norm_sq(v)^(-1) z^w conj(z)^v * moment(f, v, w),
 
 with both the double sum and the normalizing factor truncated to the same
-order (|v|, |w| <= order): the normalizer C(z,z) is itself the diagonal
+order N (|v|, |w| <= N): the normalizer C(z,z) is itself the diagonal
 series sum_v norm_sq(v)^(-1) |z^v|^2, which collapses multinomially to
 G_N(|z|^2) with G_N(s) = sum_{j<=N} binom(j+n-1, n-1) s^j, so a constant f
-telescopes to exactly 1 at every order.  For an f-term (mu, nu) the moments
-vanish off the line w = v + mu - nu, so each term reduces to a single
-multi-index sum; when mu = 0 or nu = 0 the sum collapses further to a
-scalar series in |z|^2, which is what makes radii close to 1 feasible.
-Truncation tails are certified per term (scalar geometric majorants for
-collapsed terms, the conservative product bound from majorizing both kernel
-series for mixed terms) plus a normalizer-truncation correction; order
-selection iterates until the summed bound fits the requested tolerance.
+telescopes to exactly 1 at every order.
+
+The double sum is the integral of f against the kernel |C_N(z, zeta)|^2,
+C_N the degree-N truncation of the Cauchy kernel; the truncation is
+U(n)-invariant, so by Schur the sum acts on each bigraded harmonic space
+H(p,q) (harmonic polynomials homogeneous of degree p in z and q in
+conj(z)) as a scalar radial factor.  f splits exactly into components
+h in H(p,q) (SpherePolynomial.harmonics), and h contributes
+
+    S_(p,q),N(s) h(z),   S_(p,q),N(s) = sum_{i <= N - max(p,q)} t_i s^i,  s = |z|^2,
+    t_0 = (p+n-1)! (q+n-1)! / ((p+q+n-1)! (n-1)!),
+    t_(i+1) / t_i = (p+n+i)(q+n+i) / ((p+q+n+i)(i+1)),
+
+the truncation of 2F1(p+n, q+n; p+q+n; s) / 2F1(p, q; p+q+n; 1).  Euler's
+transform turns the untruncated quotient by G = (1-s)^(-n) into the closed
+form P[h](z) = 2F1(p, q; p+q+n; s) / 2F1(p, q; p+q+n; 1) h(z) (Rudin,
+Function Theory in the Unit Ball of C^n, the chapter on H(p,q)); for p = 0
+or q = 0 the series is G_(N - p - q) and the factor is 1.  Evaluation is a
+scalar series per component at each distinct |z|^2, so its cost does not
+grow with the radius beyond the order.  Truncation tails are certified per
+component by a scalar geometric majorant (the ratio above is nonincreasing
+in i) plus a normalizer-truncation term; order selection iterates until the
+summed bound fits the requested tolerance.
 """
 
 from __future__ import annotations
@@ -42,14 +57,19 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
 from .exact import ComplexFraction
-from .kernels import cauchy_kernel, poisson_kernel, series_tail_bound
+from .kernels import cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
-from .polynomials import HolomorphicPolynomial, MCEstimate, SpherePolynomial, _weighted_mean
-from .sphere import SphereSampler, monomial_eval
+from .polynomials import (
+    HolomorphicPolynomial,
+    MCEstimate,
+    SpherePolynomial,
+    _PowerTable,
+    _weighted_mean,
+)
+from .sphere import SphereSampler
 
 RADIAL_TAIL_TOL = 1e-8      # truncation budget used by radial_scan
 MAX_SERIES_ORDER = 4096     # hard cap for automatic order selection
-_EVAL_BLOCK = 8192          # samples per block in the mixed-term series path
 
 
 def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
@@ -104,48 +124,93 @@ def _kernel_transform_mc(kernel, g, z, sampler, n_samples) -> MCEstimate:
 # ---------------------------------------------------------------------------
 # Poisson series on polynomial data
 
+_TABLE_CELLS = 1 << 20      # entries of one block of the power table in _radial_sums
 
-def _split_terms(f: SpherePolynomial):
-    """Separate collapsible terms (mu = 0 or nu = 0) from mixed ones.
 
-    Both lists hold (mu, nu, coeff) in f's stored term order, which fixes the
-    order of the float sums.
+def _radial_coeff(p: int, q: int, dim: int, i):
+    """t_i of the H(p,q) radial series; i is an int or an integer array.
+
+    t_i = binom(i+dim-1, dim-1) * prod_{j<min(p,q)} (i+dim+j) / (i+dim+max(p,q)+j),
+    the closed form of t_0 = (p+n-1)!(q+n-1)! / ((p+q+n-1)!(n-1)!) times the
+    ratios (p+n+i)(q+n+i) / ((p+q+n+i)(i+1)); p = q = 0 gives the binomials of G.
     """
-    collapsed, mixed = [], []
-    for (mu, nu), coeff in f._terms.items():
-        (mixed if mu.degree and nu.degree else collapsed).append((mu, nu, coeff))
-    return collapsed, mixed
+    lo, hi = min(p, q), max(p, q)
+    t = 1.0
+    for k in range(1, dim):
+        t = t * (i + k) / k
+    for j in range(lo):
+        t = t * (i + dim + j) / (i + dim + hi + j)
+    return t
+
+
+def _radial_tail(p: int, q: int, dim: int, s: float, k: int) -> float:
+    """Bound for sum_{i>k} t_i s^i of the H(p,q) radial series, 0 <= s < 1.
+
+    The ratio t_(i+1)/t_i = (a+i)(b+i)/((c+i)(1+i)), a = p+n, b = q+n,
+    c = p+q+n, is nonincreasing in i: its log-derivative is
+    1/u + 1/v - 1/U - 1/V with u, v = a+i, b+i inside [U, V] = [1+i, c+i]
+    and u + v >= U + V, and for u <= v that gives (u-U)/(uU) >= (V-v)/(vV).
+    So past k the terms shrink at least geometrically with rho = s *
+    ratio(k+1), and the tail is at most t_(k+1) s^(k+1) / (1-rho).  The whole
+    series is at most G(s) = (1-s)^(-n) (t_i <= binom(i+n-1, n-1), see
+    poisson_series_tail), the fallback when k < 0 or rho >= 1.
+    """
+    full = (1.0 - s) ** (-dim)
+    if k < 0:
+        return full
+    if s == 0.0:
+        return 0.0
+    i = k + 1
+    ratio = s * (p + dim + i) * (q + dim + i) / ((p + q + dim + i) * (i + 1))
+    if ratio >= 1.0:
+        return full
+    return min(_radial_coeff(p, q, dim, i) * s**i / (1.0 - ratio), full)
+
+
+def _radial_sums(x: np.ndarray, series: Sequence[tuple[int, int, int]], dim: int) -> np.ndarray:
+    """sum_{i<=cut} t_i x^i for each (p, q, cut) of series at every value of x.
+
+    Returns a (len(x), len(series)) array; a negative cut sums to 0.  The
+    coefficients form one matrix (a column per series, zero past its cut);
+    the powers x^0..x^top come from one table per block of values
+    (cumulative products, blocks under _TABLE_CELLS entries), and one matrix
+    product sums them.
+    """
+    top = max([cut + 1 for _, _, cut in series] + [0])
+    i = np.arange(top)
+    coeffs = np.zeros((top, len(series)))
+    for col, (p, q, cut) in enumerate(series):
+        if cut >= 0:
+            coeffs[:cut + 1, col] = _radial_coeff(p, q, dim, i[:cut + 1])
+    out = np.empty((x.shape[0], len(series)))
+    step = max(1, _TABLE_CELLS // max(top, 1))
+    for lo in range(0, x.shape[0], step):
+        blk = x[lo:lo + step]
+        table = np.empty((blk.shape[0], top))
+        table[:, :1] = 1.0
+        table[:, 1:] = blk[:, None]
+        np.cumprod(table, axis=1, out=table)
+        out[lo:lo + step] = table @ coeffs
+    return out
 
 
 def _binom_partial_sums(s: np.ndarray, orders: Iterable[int], dim: int):
     """G_K(s) = sum_{j<=K} binom(j+dim-1, dim-1) s^j for each requested K.
 
-    One pass up to max(orders); negative orders yield 0.
+    The p = q = 0 radial series; negative orders yield 0.
     """
     wanted = sorted(set(orders))
-    out = {}
-    top = wanted[-1] if wanted else -1
-    acc = np.zeros_like(s)
-    power = np.ones_like(s)
-    it = iter(wanted)
-    nxt = next(it, None)
-    while nxt is not None and nxt < 0:
-        out[nxt] = np.zeros_like(s)
-        nxt = next(it, None)
-    for j in range(top + 1):
-        acc = acc + math.comb(j + dim - 1, dim - 1) * power
-        power = power * s
-        while nxt == j:
-            out[nxt] = acc.copy()
-            nxt = next(it, None)
-    return out
+    sums = _radial_sums(s, [(0, 0, k) for k in wanted], dim)
+    return {k: sums[:, col] for col, k in enumerate(wanted)}
 
 
 def _mixed_term_plan(mu: MultiIndex, nu: MultiIndex, order: int):
     """Enumeration plan for one mixed term: (eta list, float coefficients).
 
-    The double series restricted to this term is parametrized by a single
-    index eta >= 0 with exact coefficient
+    The term-by-term form of the series, kept as the reference route the
+    tests compare poisson_series_eval against.  The double series restricted
+    to the term zeta^mu conj(zeta)^nu is parametrized by a single index
+    eta >= 0 with exact coefficient
         norm_sq(eta + (mu-nu)+)^(-1) norm_sq(eta + (nu-mu)+)^(-1)
             * norm_sq(eta + max(mu, nu)),
     multiplied by the monomial x^eta, x_k = |z_k|^2, and by the fixed factor
@@ -176,12 +241,15 @@ def _mixed_term_plan(mu: MultiIndex, nu: MultiIndex, order: int):
 def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndarray:
     """Truncated moment expansion of the Poisson integral P[f] at z (|z| < 1).
 
-    Sums the double series over index pairs (v, w) with |v|, |w| <= order,
-    using exact moments converted to float at the end, and divides by the
-    order-truncated normalizer G_order(|z|^2) (see the module docstring).
-    Accepts a single point or an (N, n) batch.  Mixed terms (mu != 0 != nu)
-    cost one multi-index enumeration each, so large orders with mixed data
-    are expensive; see choose_poisson_order for certified order selection.
+    The double series over index pairs (v, w) with |v|, |w| <= order divided
+    by the order-truncated normalizer G_order(|z|^2), summed through f's
+    H(p,q) components (see the module docstring): each component h adds
+    S_(p,q)(|z|^2) h(z), where S_(p,q) is its radial series cut at
+    order - max(p, q).  Accepts a single point or an (N, n) batch.  The exact
+    decomposition is made once per polynomial (f.harmonics()); a call then
+    costs one power table of z, one evaluation of every component, and
+    O(order) scalar work per distinct value of |z|^2.  See
+    choose_poisson_order for certified order selection.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -196,85 +264,49 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
     if np.max(s, initial=0.0) >= 1.0:
         raise DomainError("Poisson series requires |z| < 1 for every point")
 
-    collapsed, mixed = _split_terms(f)
+    levels, where = np.unique(s, return_inverse=True)
+    parts = f.harmonics()
+    radial = _radial_sums(levels, [(p, q, order - max(p, q)) for p, q in parts], f.dim)
+    normalizer = _binom_partial_sums(levels, (order,), f.dim)[order]
+
+    zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
     total = np.zeros(Z.shape[0], dtype=np.complex128)
-
-    wanted = [order] + [order - mu.degree - nu.degree for mu, nu, _ in collapsed]
-    sums = _binom_partial_sums(s, wanted, f.dim)
-    normalizer = sums[order]
-
-    for mu, nu, coeff in collapsed:
-        mono = monomial_eval(Z, mu, nu)
-        total = total + complex(coeff) * mono * sums[order - mu.degree - nu.degree]
-
-    for mu, nu, coeff in mixed:
-        delta_plus, delta_minus, etas, qs = _mixed_term_plan(mu, nu, order)
-        if not etas:
-            continue
-        for lo in range(0, Z.shape[0], _EVAL_BLOCK):
-            blk = slice(lo, min(lo + _EVAL_BLOCK, Z.shape[0]))
-            zb = Z[blk]
-            x = np.abs(zb) ** 2
-            max_exp = max(e.degree for e in etas)
-            pows = [_real_powers(x[:, k], max_exp) for k in range(f.dim)]
-            acc = np.zeros(zb.shape[0])
-            for eta, q in zip(etas, qs):
-                term = np.full(zb.shape[0], q)
-                for k in range(f.dim):
-                    if eta[k]:
-                        term = term * pows[k][eta[k]]
-                acc += term
-            mono = monomial_eval(zb, delta_plus, delta_minus)
-            total[blk] = total[blk] + complex(coeff) * mono * acc
-
-    result = total / normalizer
+    for col, h in enumerate(parts.values()):
+        total = total + radial[where, col] * h._eval_on(zp, zc)
+    result = total / normalizer[where]
     return result if batched else complex(result[0])
-
-
-def _real_powers(x: np.ndarray, max_exp: int) -> list[np.ndarray]:
-    out = [np.ones_like(x)]
-    for _ in range(max_exp):
-        out.append(out[-1] * x)
-    return out
 
 
 def poisson_series_tail(f: SpherePolynomial, radius: float, order: int) -> float:
     """Certified bound on |P[f](z) - truncated series| for all |z| <= radius.
 
-    Splits the error into the numerator truncation (per f-term: scalar
-    geometric tail for collapsed terms, the conservative two-series product
-    bound for mixed terms, both damped by (1-|z|^2)^n) plus the effect of
-    truncating the normalizer (bounded through an a-priori bound on the
-    truncated value itself).
+    With s = |z|^2 and N = order, P[f] = A/G and the series is A_N/G_N,
+    where A = sum_h S_(p,q)(s) h(z) over f's H(p,q) components, A_N cuts
+    every S_(p,q) at N - max(p,q), and G = (1-s)^(-n).  Then
+    P[f] - A_N/G_N = (A - A_N)/G - (A_N/G_N)(G - G_N)/G, and:
+      * |h(z)| <= size_h = (sum of |coefficients| of h) radius^(p+q);
+      * each component's part of A - A_N is bounded by its own scalar
+        geometric majorant (_radial_tail), and 1/G = (1-s)^n;
+      * t_i <= binom(i+n-1, n-1): by Euler S_(p,q) = G times
+        2F1(p,q;p+q+n;s) / 2F1(p,q;p+q+n;1), whose coefficients are
+        nonnegative and sum to 1, so t_i is an average of binomials of
+        index <= i.  Hence every cut S_(p,q) <= G_N, |A_N/G_N| <= sum size_h,
+        and the normalizer term is at most that times the tail of G.
+    Each damped tail (1-s)^n sum_{i>k} t_i s^i is nondecreasing in s (a
+    mixture of negative-binomial tail probabilities), so the bound at the
+    radius covers every smaller |z|.
     """
     if not 0.0 <= radius < 1.0:
         raise DomainError(f"tail bound requires 0 <= radius < 1, got {radius}")
     n = f.dim
     s = radius * radius
-    damp = (1.0 - s) ** n
-    collapsed, mixed = _split_terms(f)
-
     numer_tail = 0.0
-    value_bound = 0.0  # bound on |truncated value|, used for the normalizer part
-    norm_partial = sum(math.comb(j + n - 1, n - 1) * s**j for j in range(order + 1))
-    for mu, nu, coeff in collapsed:
-        mass = math.sqrt(float(coeff.abs_sq()))
-        degree = mu.degree + nu.degree
-        k = order - degree
-        scalar_tail = series_tail_bound(s, k, n) if k >= 0 else (1.0 - s) ** (-n)
-        numer_tail += mass * radius ** degree * scalar_tail
-        value_bound += mass  # |z^mu conj(z)^nu| G_k <= G_order = the normalizer
-    if mixed:
-        full = (1.0 - radius) ** (-n)
-        partial = sum(math.comb(j + n - 1, n - 1) * radius**j for j in range(order + 1))
-        gap = series_tail_bound(radius, order, n)
-        for mu, nu, coeff in mixed:
-            mass = math.sqrt(float(coeff.abs_sq()))
-            numer_tail += mass * gap * (full + partial)
-            value_bound += mass * partial**2 / norm_partial
-
-    normalizer_tail = value_bound * damp * series_tail_bound(s, order, n)
-    return damp * numer_tail + normalizer_tail
+    value_bound = 0.0
+    for (p, q), h in f.harmonics().items():
+        size = sum(math.sqrt(float(c.abs_sq())) for c in h._terms.values()) * radius ** (p + q)
+        numer_tail += size * _radial_tail(p, q, n, s, order - max(p, q))
+        value_bound += size
+    return (1.0 - s) ** n * (numer_tail + value_bound * _radial_tail(0, 0, n, s, order))
 
 
 def choose_poisson_order(

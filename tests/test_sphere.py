@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from balltrace import sphere
 from balltrace.errors import DimensionMismatchError, DomainError
 from balltrace.multiindex import MultiIndex
 from balltrace.sphere import (
     CHUNK_DRAWS,
+    _chunk,
     SpherePoint,
     SphereSampler,
     herm_inner,
@@ -99,6 +101,38 @@ class TestSampler:
         batch = SphereSampler(2, 41).sample_batch(200_000)
         mean, se = mean_and_stderr(batch[:, 0])
         assert abs(mean) <= 4 * se
+
+
+class TestChunkPrefix:
+    """A batch generates only the chunk rows it needs, bit-identical to the whole chunk."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_prefix_is_slice_of_full_chunk(self, seed, dim):
+        full = _chunk(seed, dim, 3)
+        for rows in (1, 10_000, CHUNK_DRAWS - 31_072):
+            assert np.array_equal(_chunk(seed, dim, 3, rows), full[:rows])
+
+    @pytest.mark.parametrize(
+        "splits", [(1, 2, 5, 100, 10_000, 70_000), (9_999, 1, 60_000), (CHUNK_DRAWS, 3, 34_464)]
+    )
+    def test_batch_splits_match_full_chunks(self, splits):
+        s = SphereSampler(2, 99)
+        got = np.concatenate([s.sample_batch(c) for c in splits])
+        want = np.concatenate([_chunk(99, 2, 0), _chunk(99, 2, 1)])[: sum(splits)]
+        assert np.array_equal(got, want)
+
+    def test_zero_row_in_prefix_falls_back_to_full_chunk(self, monkeypatch):
+        # treat every Gaussian row shorter than 0.3 as zero: in n = 1 about 4 %
+        # of rows, so the 200-row prefix holds some and must redraw them past
+        # the end of the whole chunk, exactly as the full chunk does
+        monkeypatch.setattr(sphere, "_ZERO_NORM", 0.3)
+        raw = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
+        x = raw.standard_normal((200, 2))
+        assert np.any(np.hypot(x[:, 0], x[:, 1]) < 0.3)
+        prefix = _chunk(5, 1, 0, 200)
+        assert np.array_equal(prefix, _chunk(5, 1, 0)[:200])
+        assert np.array_equal(SphereSampler(1, 5).sample_batch(200), prefix)
 
 
 class TestMonomialEval:
