@@ -8,8 +8,9 @@ strings with 17 significant digits, orderings are graded-lex.
 
 Exit codes: 0 success, 1 usage (flags or input document), 2 violated
 precondition or domain restriction, 3 numerical failure (singularity,
-divergence, lost convergence, failed verification), 4 I/O.  Every error
-prints a one-line JSON object to stderr.
+divergence, lost convergence, failed verification), 4 I/O, 5 internal
+error (any other exception, such as MemoryError).  Every error prints a
+one-line JSON object to stderr.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_USAGE = 1
 EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 _MC_COMMANDS = {"radial-scan", "verify"}
 
@@ -417,6 +419,8 @@ def main(argv=None) -> int:
         return _error_exit(exc, EXIT_NUMERICAL)
     except BalltraceError as exc:
         return _error_exit(exc, EXIT_USAGE)
+    except Exception as exc:  # KeyboardInterrupt and SystemExit still propagate
+        return _error_exit(exc, EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

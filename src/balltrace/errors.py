@@ -2,8 +2,9 @@
 
 The CLI maps these onto process exit codes: UsageError -> 1 (bad flags or
 input documents), PreconditionError -> 2 (violated operation preconditions
-and domain restrictions), NumericalError -> 3, I/O -> 4.  Library users can
-catch the base class BalltraceError.
+and domain restrictions), NumericalError -> 3, I/O -> 4, and any other
+exception (an internal error, such as MemoryError or a broken invariant) ->
+5.  Library users can catch the base class BalltraceError.
 """
 
 from __future__ import annotations

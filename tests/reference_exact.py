@@ -3,8 +3,9 @@
 These are the direct forms the line-keyed code in balltrace replaced: a
 sweep that tests every (alpha, beta) pair of the index list, and a moment
 and an inner product that visit every term (or pair of terms) and build a
-MultiIndex for each.  They are slow and obviously correct; the tests
-require the library functions to return identical values.
+MultiIndex for each; and the choice of the worst violation by its exact
+Fraction gap, which the integer scan replaced.  They are slow and obviously
+correct; the tests require the library functions to return identical values.
 """
 
 from balltrace.exact import ZERO
@@ -43,3 +44,11 @@ def reference_sweep(f, max_order):
             if not report.satisfied:
                 out.append(report)
     return out
+
+
+def reference_worst(violations):
+    """The most violated condition: largest exact |lhs - rhs|^2, graded-lex ties."""
+    return min(
+        violations,
+        key=lambda v: (-(v.lhs - v.rhs).abs_sq(), v.alpha.sort_key(), v.beta.sort_key()),
+    )

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from balltrace import cli
 from balltrace.cli import main, parse_polynomial
 from balltrace.errors import SchemaError
 from balltrace.polynomials import SpherePolynomial
@@ -65,6 +67,134 @@ COUNTEREXAMPLE_CHECK = """{
 }
 """
 
+# exact stdout of `sweep --order 2` on the counterexample, and of
+# `check --sweep-order 0` on conj(zeta_1)^140, which escalates to order 141
+COUNTEREXAMPLE_SWEEP_2 = """{
+  "order": 2,
+  "count": 3,
+  "violations": [
+    {
+      "kind": "B",
+      "alpha": [
+        2,
+        0
+      ],
+      "beta": [
+        2,
+        0
+      ],
+      "lhs": {
+        "re": "3/20",
+        "im": "0/1"
+      },
+      "rhs": {
+        "re": "1/6",
+        "im": "0/1"
+      },
+      "lhs_float": {
+        "re": "0.14999999999999999",
+        "im": "0"
+      },
+      "rhs_float": {
+        "re": "0.16666666666666666",
+        "im": "0"
+      },
+      "satisfied": false
+    },
+    {
+      "kind": "B",
+      "alpha": [
+        1,
+        1
+      ],
+      "beta": [
+        1,
+        1
+      ],
+      "lhs": {
+        "re": "1/5",
+        "im": "0/1"
+      },
+      "rhs": {
+        "re": "1/6",
+        "im": "0/1"
+      },
+      "lhs_float": {
+        "re": "0.20000000000000001",
+        "im": "0"
+      },
+      "rhs_float": {
+        "re": "0.16666666666666666",
+        "im": "0"
+      },
+      "satisfied": false
+    },
+    {
+      "kind": "B",
+      "alpha": [
+        0,
+        2
+      ],
+      "beta": [
+        0,
+        2
+      ],
+      "lhs": {
+        "re": "3/20",
+        "im": "0/1"
+      },
+      "rhs": {
+        "re": "1/6",
+        "im": "0/1"
+      },
+      "lhs_float": {
+        "re": "0.14999999999999999",
+        "im": "0"
+      },
+      "rhs_float": {
+        "re": "0.16666666666666666",
+        "im": "0"
+      },
+      "satisfied": false
+    }
+  ]
+}
+"""
+CONJ140 = '{"n": 1, "terms": [{"mu": [0], "nu": [140], "re": "1/1", "im": "0/1"}]}'
+CONJ140_CHECK_ORDER_0 = """{
+  "member": false,
+  "residual_sq": "1/1",
+  "residual_sq_float": "1",
+  "violation": {
+    "kind": "A",
+    "alpha": [
+      140
+    ],
+    "beta": [
+      0
+    ],
+    "lhs": {
+      "re": "1/1",
+      "im": "0/1"
+    },
+    "rhs": {
+      "re": "0/1",
+      "im": "0/1"
+    },
+    "lhs_float": {
+      "re": "1",
+      "im": "0"
+    },
+    "rhs_float": {
+      "re": "0",
+      "im": "0"
+    },
+    "satisfied": false
+  },
+  "violation_order": 141
+}
+"""
+
 
 @pytest.fixture
 def counterexample_file(tmp_path):
@@ -112,6 +242,13 @@ class TestCheckCommand:
         code, out, err = run(capsys, "check", "--input", str(path), "--sweep-order", "0")
         assert code == 0 and err == ""
         assert json.loads(out)["violation_order"] == 141
+
+    def test_escalation_stdout_bytes(self, capsys, tmp_path):
+        path = tmp_path / "conj140.json"
+        path.write_text(CONJ140)
+        assert run(capsys, "check", "--input", str(path), "--sweep-order", "0") == (
+            0, CONJ140_CHECK_ORDER_0, ""
+        )
 
     def test_counterexample(self, capsys, counterexample_file):
         code, out, _ = run(capsys, "check", "--input", counterexample_file)
@@ -184,6 +321,11 @@ class TestSweepCommand:
         assert code == 0 and doc["count"] >= 1
         pairs = {(tuple(v["alpha"]), tuple(v["beta"])) for v in doc["violations"]}
         assert ((1, 1), (1, 1)) in pairs
+
+    def test_counterexample_sweep_stdout_bytes(self, capsys, counterexample_file):
+        assert run(capsys, "sweep", "--input", counterexample_file, "--order", "2") == (
+            0, COUNTEREXAMPLE_SWEEP_2, ""
+        )
 
     def test_member_sweep_empty(self, capsys, coordinate_file):
         code, out, _ = run(capsys, "sweep", "--input", coordinate_file, "--order", "4")
@@ -269,6 +411,39 @@ class TestExitCodes:
             )
             assert code == 2 and out == ""
             assert json.loads(err)["error"]["type"] == "DomainError"
+
+    @pytest.mark.parametrize("exc", [RuntimeError("contradicts the moment characterization"), MemoryError()])
+    def test_other_exceptions_are_internal(self, capsys, monkeypatch, counterexample_file, exc):
+        def broken(config):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "check", broken)
+        code, out, err = run(capsys, "check", "--input", counterexample_file)
+        assert code == cli.EXIT_INTERNAL == 5 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": type(exc).__name__, "message": str(exc), "exit_code": 5,
+        }
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch, counterexample_file):
+        def interrupted(config):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "check", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["check", "--input", counterexample_file])
+
+    def test_over_budget_scan_exits_2_quickly(self, capsys, monkeypatch, tmp_path):
+        from balltrace import membership
+
+        monkeypatch.setattr(membership, "graded_indices", None)  # never enumerated
+        path = tmp_path / "conj400.json"
+        path.write_text('{"n": 3, "terms": [{"mu": [0, 0, 0], "nu": [400, 0, 0], "re": "1/1", "im": "0/1"}]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "PreconditionError" and "10908404" in line
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -1,9 +1,11 @@
 """The line-keyed exact core against its direct reference forms.
 
 moment, inner_product and sweep visit only the difference lines
-d = mu - nu of a polynomial; tests/reference_exact.py keeps the forms that
-visit every term and every pair.  Exact arithmetic makes the comparison an
-identity, not a tolerance.
+d = mu - nu of a polynomial, and sweep and is_boundary_trace test the
+conditions in integers; tests/reference_exact.py keeps the forms that visit
+every term and every pair in Fractions, and the choice of the worst
+violation by its exact Fraction gap.  Exact arithmetic makes the comparison
+an identity, not a tolerance.
 """
 
 from fractions import Fraction
@@ -12,14 +14,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balltrace.exact import ComplexFraction
-from balltrace.membership import sweep, szego_residual
+from balltrace.membership import is_boundary_trace, sweep, szego_residual
 from balltrace.multiindex import graded_indices
 from balltrace.polynomials import SpherePolynomial, inner_product, l2_norm_sq, moment
 
-from reference_exact import reference_inner_product, reference_moment, reference_sweep
+from reference_exact import (
+    reference_inner_product,
+    reference_moment,
+    reference_sweep,
+    reference_worst,
+)
 
-rationals = st.fractions(min_value=-2, max_value=2, max_denominator=4)
-coeffs = st.builds(ComplexFraction, rationals, rationals)
+# unrelated denominators per term (the integer scan's D is a real lcm), exact
+# zero parts, real and purely imaginary coefficients
+rationals = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-2, max_value=2, max_denominator=12)
+)
+coeffs = st.one_of(
+    st.builds(ComplexFraction, rationals, rationals),
+    st.builds(ComplexFraction, rationals),
+    st.builds(lambda im: ComplexFraction(0, im), rationals),
+)
 
 
 @st.composite
@@ -59,10 +74,20 @@ def test_inner_product_matches_reference(pair):
 
 
 @given(polys(), st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_sweep_matches_reference(f, data):
     order = data.draw(st.integers(0, f.max_degree() + 2))
     assert sweep(f, order) == reference_sweep(f, order)
+
+
+@given(polys(), st.one_of(st.none(), st.integers(0, 5)))
+@settings(max_examples=80, deadline=None)
+def test_worst_violation_matches_reference(f, sweep_order):
+    cert = is_boundary_trace(f, sweep_order=sweep_order)
+    if cert.member:
+        assert cert.violation is None
+    else:
+        assert cert.violation == reference_worst(reference_sweep(f, cert.violation_order))
 
 
 @given(polys())

@@ -1,10 +1,12 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balltrace import membership
 from balltrace.errors import PreconditionError
 from balltrace.exact import ComplexFraction
 from balltrace.generators import (
@@ -13,6 +15,7 @@ from balltrace.generators import (
     random_sphere_poly,
 )
 from balltrace.membership import (
+    WORK_BUDGET,
     ConditionReport,
     check_condition,
     check_condition_a,
@@ -176,6 +179,15 @@ class TestMembership:
         for other in sweep(counterexample(), cert.violation_order):
             assert (other.lhs - other.rhs).abs_sq() <= gap
 
+    def test_equal_gaps_break_ties_graded_lex(self):
+        # conj(zeta_1) + conj(zeta_2): the A pairs ((1,0),(0,0)) and ((0,1),(0,0))
+        # share the largest gap, 1/4; (1,0) comes first in graded-lex order
+        f = mono(2, (0, 0), (1, 0)) + mono(2, (0, 0), (0, 1))
+        cert = is_boundary_trace(f)
+        gaps = [(v.lhs - v.rhs).abs_sq() for v in sweep(f, cert.violation_order)]
+        assert gaps.count(max(gaps)) == 2 and max(gaps) == Fraction(1, 4)
+        assert (cert.violation.alpha, cert.violation.beta) == (MI((1, 0)), MI((0, 0)))
+
     def test_sphere_relation_sum(self):
         cert = is_boundary_trace(sphere_relation(2))
         assert cert.member
@@ -264,6 +276,31 @@ class TestOneDimensionalReduction:
                 k for k in range(1, order + 1) if moment(f, MI((k,)), MI((0,)))
             }
             assert found_gaps == bad_freqs
+
+
+class TestWorkBudget:
+    def test_benchmark_sizes_fit(self):
+        # the largest certify input (n = 4, order 6, at most 20 lines) and a
+        # 61-term n = 4 degree-6 non-member at order 7
+        assert math.comb(6 + 4, 4) * 20 < WORK_BUDGET
+        assert math.comb(7 + 4, 4) * 61 < WORK_BUDGET
+
+    def test_over_budget_raises_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("the index list was built")
+
+        monkeypatch.setattr(membership, "graded_indices", no_enumeration)
+        f = mono(3, (0, 0, 0), (400, 0, 0))  # C(404, 3) indices at order 401
+        for run in (lambda: sweep(f, 401), lambda: is_boundary_trace(f)):
+            with pytest.raises(PreconditionError, match="10908404 candidate pairs"):
+                run()
+
+    def test_estimate_counts_lines(self, monkeypatch):
+        monkeypatch.setattr(membership, "graded_indices", None)
+        f = mono(1, (0,), (1,)) + mono(1, (1,), (0,))
+        order = WORK_BUDGET // 2  # C(order + 1, 1) * 2 lines, just over the budget
+        with pytest.raises(PreconditionError, match=f"{2 * (order + 1)} candidate pairs"):
+            sweep(f, order)
 
 
 class TestSphereRelationInvariance:
