@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Subcommands: constants, moment, check, sweep, radial-scan, verify.  Flags
-are parsed into a frozen RunConfig; all randomness is seeded from it (no
-wall-clock entropy) and output is byte-stable for a fixed invocation:
-exact values render as "num/den" rational strings, float renderings as
-strings with 17 significant digits, orderings are graded-lex.
+Subcommands: constants, moment, check, sweep, radial-scan, verify.  Flags are
+parsed into a frozen RunConfig, which holds every default; all randomness is
+seeded from it (no wall-clock entropy) and output is byte-stable for a fixed
+invocation: exact values render as "num/den" rational strings, float
+renderings as strings with 17 significant digits, orderings are graded-lex.
 
 Exit codes: 0 success, 1 usage (flags or input document), 2 violated
 precondition or domain restriction, 3 numerical failure (singularity,
@@ -16,6 +16,7 @@ one-line JSON object to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -34,7 +35,7 @@ from .errors import (
 from .exact import complex_to_strings, format_rational, to_complex
 from .generators import random_holomorphic_poly, random_nonmember_poly
 from .kernels import cauchy_kernel, cauchy_series, poisson_kernel
-from .membership import is_boundary_trace, sweep, szego_residual
+from .membership import WORK_BUDGET, is_boundary_trace, sweep, szego_residual
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import SpherePolynomial, mc_moment, moment
 from .sphere import _MASK64, SphereSampler
@@ -47,16 +48,10 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
-_MC_COMMANDS = {"radial-scan", "verify"}
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One CLI invocation, validated.
-
-    samples must be >= 2 for Monte-Carlo commands, radii must lie in [0, 1),
-    orders must be >= 0, and the Lp exponent must be finite with p >= 1.
-    """
+    """One CLI invocation, validated: samples >= 2, radii in [0, 1), orders >= 0, finite p >= 1."""
 
     command: str
     input_path: str | None = None
@@ -74,7 +69,7 @@ class RunConfig:
     def __post_init__(self):
         if self.order is not None and self.order < 0:
             raise UsageError(f"order must be >= 0, got {self.order}")
-        if self.command in _MC_COMMANDS and self.samples < 2:
+        if self.samples < 2:
             raise PreconditionError(f"--samples must be >= 2, got {self.samples}")
         if any(not 0.0 <= r < 1.0 for r in self.radii):
             raise DomainError(f"radii must lie in [0, 1), got {list(self.radii)}")
@@ -98,6 +93,8 @@ def parse_polynomial(text: str) -> SpherePolynomial:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("malformed JSON: nested too deeply") from exc
     return SpherePolynomial.from_json_dict(doc)
 
 
@@ -110,11 +107,22 @@ def _load_polynomial(path: str | None) -> SpherePolynomial:
         return parse_polynomial(fh.read())
 
 
+# argparse type= converters: UsageError is no ValueError, so argparse passes it through unchanged
 def _parse_index(text: str) -> MultiIndex:
     try:
         return MultiIndex(int(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"bad multi-index {text!r}: {exc}") from exc
+
+
+def _parse_radii(text: str) -> tuple[float, ...]:
+    try:
+        radii = tuple(float(r) for r in text.split(",") if r)
+    except ValueError as exc:
+        raise UsageError(f"bad radii list {text!r}: {exc}") from exc
+    if not radii:
+        raise UsageError("--radii must list at least one radius")
+    return radii
 
 
 def _write_output(payload: str, destination: str | None) -> None:
@@ -134,6 +142,13 @@ def _emit_json(doc, destination: str | None) -> None:
 
 
 def _cmd_constants(config: RunConfig) -> int:
+    # C(order+n, n) rows; a dimension below 1 is left to graded_indices, which rejects it
+    count = math.comb(config.order + config.n, config.n) if config.n >= 1 else 0
+    if count > WORK_BUDGET:
+        raise PreconditionError(
+            f"a constants table at order {config.order} in dimension {config.n} would "
+            f"have {count} rows (C(order+n, n)), above the budget of {WORK_BUDGET}"
+        )
     rows = [
         {
             "omega": list(idx),
@@ -320,69 +335,52 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built once per process; an omitted flag leaves RunConfig's default."""
+    parent = functools.partial(argparse.ArgumentParser, add_help=False, argument_default=argparse.SUPPRESS)
+    source = parent()
+    source.add_argument(
+        "--input", dest="input_path", required=True, help="polynomial JSON file, or - for stdin"
+    )
+    sampling = parent()
+    sampling.add_argument("--seed", type=int)
+    sampling.add_argument("--samples", type=int)
+
     parser = _Parser(prog="balltrace", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    p = sub.add_parser("constants", help="table of exact monomial L2 masses")
+    p = command("constants", help="table of exact monomial L2 masses")
     p.add_argument("--n", type=int, required=True, help="ambient complex dimension")
     p.add_argument("--order", type=int, required=True, help="maximum total degree")
-    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"))
 
-    p = sub.add_parser("moment", help="one exact moment of a polynomial")
-    p.add_argument("--input", required=True, help="polynomial JSON file, or - for stdin")
-    p.add_argument("--alpha", required=True, help="comma-separated exponents")
-    p.add_argument("--beta", required=True, help="comma-separated exponents")
-    p.add_argument("--output", default=None)
+    p = command("moment", parents=[source], help="one exact moment of a polynomial")
+    p.add_argument("--alpha", type=_parse_index, required=True, help="comma-separated exponents")
+    p.add_argument("--beta", type=_parse_index, required=True, help="comma-separated exponents")
 
-    p = sub.add_parser("check", help="exact membership certificate")
-    p.add_argument("--input", required=True)
-    p.add_argument("--sweep-order", dest="order", type=int, default=None)
-    p.add_argument("--output", default=None)
+    p = command("check", parents=[source], help="exact membership certificate")
+    p.add_argument("--sweep-order", dest="order", type=int)
 
-    p = sub.add_parser("sweep", help="all violated conditions up to an order")
-    p.add_argument("--input", required=True)
+    p = command("sweep", parents=[source], help="all violated conditions up to an order")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--output", default=None)
 
-    p = sub.add_parser("radial-scan", help="Lp convergence of radial Poisson slices")
-    p.add_argument("--input", required=True)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--radii", default="0.5,0.9,0.99")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--output", default=None)
+    p = command("radial-scan", parents=[source, sampling], help="Lp convergence of radial Poisson slices")
+    p.add_argument("--p", type=float)
+    p.add_argument("--radii", type=_parse_radii, default=(0.5, 0.9, 0.99))
 
-    p = sub.add_parser("verify", help="seeded randomized self-test")
+    p = command("verify", parents=[sampling], help="seeded randomized self-test")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--output", default=None)
 
+    # last on every command, so help and ambiguous-prefix errors list it after the rest
+    for p in sub.choices.values():
+        p.add_argument("--output")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {"command": args.command}
-    for name in ("n", "seed", "samples", "p", "output", "fmt"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    if hasattr(args, "order"):  # may legitimately stay None for `check`
-        fields["order"] = args.order
-    if hasattr(args, "input"):
-        fields["input_path"] = args.input
-    if hasattr(args, "radii"):
-        try:
-            fields["radii"] = tuple(float(r) for r in args.radii.split(",") if r)
-        except ValueError as exc:
-            raise UsageError(f"bad radii list {args.radii!r}: {exc}") from exc
-        if not fields["radii"]:
-            raise UsageError("--radii must list at least one radius")
-    if hasattr(args, "alpha"):
-        fields["alpha"] = _parse_index(args.alpha)
-        fields["beta"] = _parse_index(args.beta)
-    return RunConfig(**fields)
+    return RunConfig(**vars(args))
 
 
 def run(config: RunConfig) -> int:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterator
 
 from .errors import DimensionMismatchError, DominationError
 
@@ -103,32 +102,34 @@ class MultiIndex(tuple):
         return f"MultiIndex{tuple(self)}"
 
 
-def iter_graded(dim: int, max_degree: int) -> Iterator[MultiIndex]:
-    """Yield all indices with |a| <= max_degree in graded-lex order."""
+def graded_indices(dim: int, max_degree: int) -> list[MultiIndex]:
+    """All indices with |a| <= max_degree in graded-lex order; binomial(max_degree+dim, dim) of them.
+
+    Iterative, so any dimension works.  Within a degree each index follows
+    from the one before by moving a unit out of the rightmost nonzero part
+    before the last into the part after it, which also takes the last part's
+    units: the successor in lexicographically descending order.
+    """
     if dim < 1:
         raise ValueError("dimension must be >= 1")
+    last = dim - 1
+    out = []
     for degree in range(max_degree + 1):
-        yield from _iter_degree(dim, degree)
-
-
-def _iter_degree(dim: int, degree: int) -> Iterator[MultiIndex]:
-    for comps in _compositions(dim, degree):
-        yield MultiIndex(comps)
-
-
-def _compositions(dim: int, degree: int):
-    # leading component from high to low gives descending lex within a degree
-    if dim == 1:
-        yield (degree,)
-        return
-    for head in range(degree, -1, -1):
-        for rest in _compositions(dim - 1, degree - head):
-            yield (head,) + rest
-
-
-def graded_indices(dim: int, max_degree: int) -> list[MultiIndex]:
-    """All indices with |a| <= max_degree; exactly binomial(max_degree+dim, dim) of them."""
-    return list(iter_graded(dim, max_degree))
+        parts = [degree] + [0] * last
+        out.append(tuple.__new__(MultiIndex, parts))  # nonnegative ints by construction
+        k = 0 if degree and last else -1  # the rightmost nonzero part before the last
+        while k >= 0:
+            tail = parts[last] + 1
+            parts[last] = 0
+            parts[k] -= 1
+            parts[k + 1] = tail
+            out.append(tuple.__new__(MultiIndex, parts))
+            if k + 1 < last:
+                k += 1
+            else:
+                while k >= 0 and not parts[k]:
+                    k -= 1
+    return out
 
 
 def monomial_norm_sq(idx: tuple[int, ...]) -> Fraction:

@@ -25,7 +25,6 @@ import numpy as np
 from .errors import DimensionMismatchError, DomainError
 from .multiindex import MultiIndex
 
-UNIT_NORM_TOL = 1e-12       # |norm - 1| accepted as "on the sphere"
 RENORMALIZE_TOL = 1e-8      # construction renormalizes within this drift
 CHUNK_DRAWS = 1 << 16       # points per RNG chunk; part of the stream format
 

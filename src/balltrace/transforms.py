@@ -57,7 +57,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
 from .exact import ComplexFraction
-from .kernels import cauchy_kernel, poisson_kernel
+from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import (
     HolomorphicPolynomial,
@@ -125,46 +125,6 @@ def _kernel_transform_mc(kernel, g, z, sampler, n_samples) -> MCEstimate:
 # Poisson series on polynomial data
 
 _TABLE_CELLS = 1 << 20      # entries of one block of the power table in _radial_sums
-
-
-def _radial_coeff(p: int, q: int, dim: int, i):
-    """t_i of the H(p,q) radial series; i is an int or an integer array.
-
-    t_i = binom(i+dim-1, dim-1) * prod_{j<min(p,q)} (i+dim+j) / (i+dim+max(p,q)+j),
-    the closed form of t_0 = (p+n-1)!(q+n-1)! / ((p+q+n-1)!(n-1)!) times the
-    ratios (p+n+i)(q+n+i) / ((p+q+n+i)(i+1)); p = q = 0 gives the binomials of G.
-    """
-    lo, hi = min(p, q), max(p, q)
-    t = 1.0
-    for k in range(1, dim):
-        t = t * (i + k) / k
-    for j in range(lo):
-        t = t * (i + dim + j) / (i + dim + hi + j)
-    return t
-
-
-def _radial_tail(p: int, q: int, dim: int, s: float, k: int) -> float:
-    """Bound for sum_{i>k} t_i s^i of the H(p,q) radial series, 0 <= s < 1.
-
-    The ratio t_(i+1)/t_i = (a+i)(b+i)/((c+i)(1+i)), a = p+n, b = q+n,
-    c = p+q+n, is nonincreasing in i: its log-derivative is
-    1/u + 1/v - 1/U - 1/V with u, v = a+i, b+i inside [U, V] = [1+i, c+i]
-    and u + v >= U + V, and for u <= v that gives (u-U)/(uU) >= (V-v)/(vV).
-    So past k the terms shrink at least geometrically with rho = s *
-    ratio(k+1), and the tail is at most t_(k+1) s^(k+1) / (1-rho).  The whole
-    series is at most G(s) = (1-s)^(-n) (t_i <= binom(i+n-1, n-1), see
-    poisson_series_tail), the fallback when k < 0 or rho >= 1.
-    """
-    full = (1.0 - s) ** (-dim)
-    if k < 0:
-        return full
-    if s == 0.0:
-        return 0.0
-    i = k + 1
-    ratio = s * (p + dim + i) * (q + dim + i) / ((p + q + dim + i) * (i + 1))
-    if ratio >= 1.0:
-        return full
-    return min(_radial_coeff(p, q, dim, i) * s**i / (1.0 - ratio), full)
 
 
 def _radial_sums(x: np.ndarray, series: Sequence[tuple[int, int, int]], dim: int) -> np.ndarray:

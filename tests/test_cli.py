@@ -6,6 +6,7 @@ import pytest
 from balltrace import cli
 from balltrace.cli import main, parse_polynomial
 from balltrace.errors import SchemaError
+from balltrace.multiindex import MultiIndex
 from balltrace.polynomials import SpherePolynomial
 
 COUNTEREXAMPLE = '{"n": 2, "terms": [{"mu": [1, 1], "nu": [1, 1], "re": "1/1", "im": "0/1"}]}'
@@ -298,6 +299,20 @@ class TestConstantsCommand:
         doc = json.loads(out)
         assert all(row["value"] == "1/1" for row in doc["constants"])
 
+    def test_over_budget_exits_2_before_enumerating(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "graded_indices", None)  # never enumerated
+        code, out, err = run(capsys, "constants", "--n", "3", "--order", "150")
+        assert code == 2 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "PreconditionError" and "585276 rows" in line
+
+    def test_high_dimension(self, capsys):
+        code, out, _ = run(capsys, "constants", "--n", "2000", "--order", "0")
+        assert code == 0
+        assert json.loads(out)["constants"] == [
+            {"omega": [0] * 2000, "value": "1/1", "value_float": "1"}
+        ]
+
     def test_csv_format(self, capsys):
         code, out, _ = run(capsys, "constants", "--n", "2", "--order", "1", "--format", "csv")
         lines = out.strip().splitlines()
@@ -326,6 +341,17 @@ class TestSweepCommand:
         assert run(capsys, "sweep", "--input", counterexample_file, "--order", "2") == (
             0, COUNTEREXAMPLE_SWEEP_2, ""
         )
+
+    def test_high_dimension(self, capsys, tmp_path):
+        # conj(zeta_1) in n = 2000: 2001 candidate pairs at order 1
+        path = tmp_path / "conj1.json"
+        n = 2000
+        term = {"mu": [0] * n, "nu": [1] + [0] * (n - 1), "re": "1/1", "im": "0/1"}
+        path.write_text(json.dumps({"n": n, "terms": [term]}))
+        code, out, err = run(capsys, "sweep", "--input", str(path), "--order", "1")
+        assert code == 0 and err == ""
+        (violation,) = json.loads(out)["violations"]
+        assert violation["alpha"] == term["nu"] and violation["beta"] == term["mu"]
 
     def test_member_sweep_empty(self, capsys, coordinate_file):
         code, out, _ = run(capsys, "sweep", "--input", coordinate_file, "--order", "4")
@@ -363,6 +389,47 @@ class TestVerifyCommand:
         assert all(line.startswith(("ok", "passed")) for line in out.strip().splitlines())
 
 
+class TestParser:
+    def test_built_once_per_process(self, capsys, coordinate_file):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert run(capsys, "check", "--input", coordinate_file)[0] == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["verify"], cli.RunConfig(command="verify", n=2)),
+            (["radial-scan", "--input", "f.json"],
+             cli.RunConfig(command="radial-scan", input_path="f.json", radii=(0.5, 0.9, 0.99))),
+            (["check", "--input", "f.json"], cli.RunConfig(command="check", input_path="f.json")),
+            (["constants", "--n", "3", "--order", "2"], cli.RunConfig(command="constants", n=3, order=2)),
+        ],
+    )
+    def test_omitted_flags_take_runconfig_defaults(self, argv, expected):
+        config = cli.config_from_args(cli.build_parser().parse_args(argv))
+        assert config == expected
+        assert (config.order, config.seed, config.samples, config.p, config.output, config.fmt) == (
+            expected.order, 0, 100_000, 2.0, None, "json"
+        )
+
+    def test_every_flag_is_a_runconfig_field(self):
+        fields = set(cli.RunConfig.__dataclass_fields__)
+        (commands,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+        assert set(commands.choices) == set(cli._COMMANDS)
+        for sub in commands.choices.values():
+            assert {a.dest for a in sub._actions if a.dest != "help"} <= fields
+
+    def test_converted_flags(self):
+        args = cli.build_parser().parse_args(
+            ["moment", "--input", "f.json", "--alpha", "1,0", "--beta", "2,1"]
+        )
+        config = cli.config_from_args(args)
+        assert (config.alpha, config.beta) == (MultiIndex((1, 0)), MultiIndex((2, 1)))
+        args = cli.build_parser().parse_args(["radial-scan", "--input", "-", "--radii", "0.3,,0.7,"])
+        assert cli.config_from_args(args).radii == (0.3, 0.7)
+
+
 class TestRunConfig:
     def test_invariants_enforced(self):
         from balltrace.cli import RunConfig
@@ -398,7 +465,8 @@ class TestExitCodes:
         path = tmp_path / "bad.json"
         # JSON true is an int to isinstance; n must be a JSON integer
         as_n1 = '{"n": true, "terms": [{"mu": [1], "nu": [0], "re": "1/1", "im": "0/1"}]}'
-        for text in ('{"n": 2}', as_n1):
+        deep = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
+        for text in ('{"n": 2}', as_n1, deep):
             path.write_text(text)
             code, out, err = run(capsys, "check", "--input", str(path))
             assert code == 1 and out == ""

@@ -164,6 +164,24 @@ class TestSeriesTailBound:
                 j += 1
             assert series_tail_bound(r, order, n) >= true_tail * (1 - 1e-12)
 
+    def test_matches_binomial_majorant(self):
+        # t_(order+1) / (1 - q) with an exact binomial, as in the kernels module
+        # docstring; the shared radial-series tail computes it up to rounding
+        def majorant(r, order, n):
+            if r == 0.0:
+                return 0.0
+            full = (1.0 - r) ** (-n)
+            q = r * (order + n + 1) / (order + 2)
+            if q >= 1.0:
+                return full
+            return min(math.comb(order + n, n - 1) * r ** (order + 1) / (1.0 - q), full)
+
+        for n in range(1, 9):
+            for order in range(0, 199, 7):
+                for r in (0.0, 0.1, 0.5, 0.9, 0.99, 0.999):
+                    expected = majorant(r, order, n)
+                    assert series_tail_bound(r, order, n) == pytest.approx(expected, rel=1e-12, abs=0)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_monotone_in_order(self, n):
         for r in (0.1, 0.5, 0.9, 0.99):

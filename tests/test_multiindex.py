@@ -71,6 +71,32 @@ class TestEnumeration:
     def test_n1(self):
         assert graded_indices(1, 3) == [MultiIndex((j,)) for j in range(4)]
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_recursive_definition(self, n):
+        # leading part from high to low, the rest recursively: lex-descending within a degree
+        def compositions(dim, degree):
+            if dim == 1:
+                return [(degree,)]
+            return [
+                (head,) + rest
+                for head in range(degree, -1, -1)
+                for rest in compositions(dim - 1, degree - head)
+            ]
+
+        idx = graded_indices(n, 8)
+        assert idx == [c for degree in range(9) for c in compositions(n, degree)]
+        assert all(type(a) is MultiIndex for a in idx)
+
+    def test_high_dimension(self):
+        # a recursion per dimension would exceed the interpreter's recursion limit
+        assert graded_indices(2000, 1) == [MultiIndex.zero(2000)] + [
+            MultiIndex.unit(2000, k) for k in range(2000)
+        ]
+
+    def test_dimension_below_one(self):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            graded_indices(0, 2)
+
     @given(small_dims, st.integers(0, 6))
     def test_count_no_dups_sorted(self, n, order):
         idx = graded_indices(n, order)
