@@ -14,6 +14,7 @@ denominator always present (``"1/6"``, ``"-3/1"``); a complex rational as
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -180,12 +181,24 @@ def format_rational(q: RationalLike) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+_RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer string) into a Fraction."""
+    """Parse "num/den" (or a bare integer string) into a Fraction.
+
+    The grammar is an optionally signed decimal integer, an optional
+    "/denominator" of decimal digits, and surrounding whitespace; anything
+    else (decimals, exponent notation, a zero denominator) raises SchemaError
+    before any arithmetic.
+    """
     if not isinstance(text, str):
         raise SchemaError(f"rational literal must be a string like \"p/q\", got {text!r}")
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise SchemaError(f"invalid rational literal {text!r}: expected \"p/q\" or an integer")
     try:
-        return Fraction(text.strip())
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid rational literal {text!r}: {exc}") from exc
 

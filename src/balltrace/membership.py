@@ -13,45 +13,39 @@ conditions, one per ordered pair of multi-indices (alpha, beta):
 Every pair falls in exactly one family: "some alpha_j > beta_j" is the
 negation of "beta dominates alpha".
 
-Both moments of a pair can be nonzero only when beta - alpha lies on one of
-f's difference lines d = mu - nu, so the sweep enumerates, for each alpha,
-only beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
-|indices|^2.
+Membership itself is decided in finite exact arithmetic through the Cauchy
+(Szego) projection C[f]: f is a trace iff the exact L2 norm of the residual
+r = f - C[f] vanishes, in which case C[f] is the holomorphic extension
+witness.  The conditions are linear and C[f] satisfies all of them, so they
+hold for f exactly when they hold for r.  r is orthogonal to every
+holomorphic monomial (Rudin, Function Theory in the Unit Ball of C^n, ch. 6),
+so every right side moment(r, 0, lambda) vanishes: a pair is violated exactly
+when moment(r, alpha, beta) != 0, and its gap |lhs - rhs| is
+|moment(r, alpha, beta)| for A and that divided by norm_sq(beta) for B.
+Since ||r||^2 = sum over r's terms of conj(c_{mu,nu}) moment(r, nu, mu) > 0,
+some pair (nu, mu) with |nu|, |mu| <= f.max_degree() is violated, so the
+sweep at order max_degree + 1 always returns a counter-certificate.
 
-The scan tests those pairs in integers.  At sweep order N let
-K = N + f.max_degree() and
-  D = lcm of the denominators of f's coefficient parts,
+moment(r, alpha, beta) can be nonzero only when beta - alpha lies on one of
+r's difference lines d = mu - nu (a subset of f's: C[f] puts its terms on
+f's lines d >= 0), so the scan enumerates, for each alpha, only
+beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
+|indices|^2.  It tests them in integers.  At sweep order N let
+K = N + r.max_degree() and
+  D = lcm of the denominators of r's coefficient parts,
   W(w) = w! (n-1+K)! / (n-1+|w|)!   (an integer for |w| <= K),
   M = (n-1+K)! / (n-1)!,
-so that norm_sq(w) = W(w) / M.  Every index met has |w| <= K (|alpha| <= N,
-|mu| <= max_degree), and on line d = beta - alpha
+so that norm_sq(w) = W(w) / M.  Every index met has |w| <= K, and on line
+d = beta - alpha
   S(alpha, d) = sum over the line's terms t of (D c_t) W(alpha + mu_t)
-is a Gaussian integer with moment(f, alpha, beta) = S(alpha, d) / (D M).
-Hence an A pair is violated iff S(alpha, d) != 0, and a B pair (d >= 0, so
-the right side S(0, d) is one value per line) iff
-S(alpha, d) W(d) != S(0, d) W(beta), because its two sides are
-S(alpha, d) / (D W(beta)) and S(0, d) / (D W(d)).  Scaling by positive
-integers changes no equality, so the violated set is the one of the
-rational conditions.  The exact gap |lhs - rhs|^2 is |S|^2 / (D M)^2 for A
-and |S(alpha, d) W(d) - S(0, d) W(beta)|^2 / (D W(beta) W(d))^2 for B: a
-ratio of integers with the common factor D^2, so the worst violation is
-found by cross-multiplying integers, ties going to the first pair in
-graded-lex order, and Fractions are built only for the pairs that get a
-report.  W is cached for
-one scan.  A scan first estimates its candidate pairs as
-C(N + n, n) * lines and refuses to start above WORK_BUDGET.
-
-Membership itself is decided in finite exact arithmetic through the Cauchy
-(Szego) projection: f is a trace iff the exact L2 residual of f minus its
-projection vanishes, in which case the projection is the holomorphic
-extension witness.  For a non-member the sweep at order max_degree + 1
-always returns a counter-certificate.  The conditions are linear and the
-projection C[f] satisfies all of them, so they hold for f exactly when they
-hold for the residual r = f - C[f].  r is orthogonal to every holomorphic
-monomial, so every right side moment(r, 0, lambda) vanishes and a pair is
-violated exactly when moment(r, alpha, beta) != 0.  Since
-||r||^2 = sum over r's terms of conj(c_{mu,nu}) moment(r, nu, mu) > 0, some
-pair (nu, mu) with |nu|, |mu| <= f.max_degree() is violated.
+is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M).
+A pair is violated iff S(alpha, d) != 0, and its exact gap is |S| / (D M)
+for A and |S| / (D W(beta)) for B: ratios of integers with the common
+factor D, so the worst violation is found by cross-multiplying integers,
+ties going to the first pair in graded-lex order, and Fractions are built
+only for the pairs that get a report, through check_condition on f.  W is
+cached for one scan.  A scan first estimates its candidate pairs as
+C(N + n, n) * (lines of f) and refuses to start above WORK_BUDGET.
 """
 
 from __future__ import annotations
@@ -175,31 +169,40 @@ def check_condition(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) ->
 def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
     """All violated conditions with |alpha|, |beta| <= max_order, graded-lex order.
 
-    The integer scan (module docstring) finds the violated pairs; only those
-    get a ConditionReport, built through check_condition.  Cost is
-    O(|indices| * lines) dictionary lookups and O(|indices| * terms) integer
-    products, plus exact Fraction work for each violation alone.  Raises
-    PreconditionError when the scan's estimate exceeds WORK_BUDGET.
+    The integer scan of the residual r = f - C[f] (module docstring) finds
+    the violated pairs; only those get a ConditionReport, built through
+    check_condition on f.  A member (r = 0) returns [] without scanning.
+    Raises PreconditionError, before the projection, when the scan's
+    estimate exceeds WORK_BUDGET.
     """
-    return [check_condition(f, alpha, beta) for alpha, beta, *_ in _scan(f, max_order)]
+    _check_budget(f, max_order)
+    r = f - cauchy_transform_poly(f)
+    if r.is_zero():
+        return []
+    return [check_condition(f, alpha, beta) for alpha, beta, *_ in _scan(r, max_order)]
 
 
-def _scan(f: SpherePolynomial, order: int) -> list[tuple]:
-    """Violated pairs up to order as (alpha, beta, x_re, x_im, den), graded-lex.
-
-    The exact gap |lhs - rhs|^2 of the pair is (x_re^2 + x_im^2) / (D den)^2
-    with D common to all pairs (module docstring); x != 0 iff violated.
-    """
-    n = f.dim
-    lines = f.lines()
-    estimate = math.comb(order + n, n) * len(lines)
+def _check_budget(f: SpherePolynomial, order: int) -> None:
+    """Refuse a scan whose C(order + n, n) * lines candidate pairs exceed WORK_BUDGET."""
+    n, lines = f.dim, len(f.lines())
+    estimate = math.comb(order + n, n) * lines
     if estimate > WORK_BUDGET:
         raise PreconditionError(
             f"a condition scan at order {order} in dimension {n} would form about "
-            f"{estimate} candidate pairs (C(order+n, n) * {len(lines)} lines), above "
+            f"{estimate} candidate pairs (C(order+n, n) * {lines} lines), above "
             f"the budget of {WORK_BUDGET}"
         )
-    k = order + f.max_degree()
+
+
+def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
+    """Violated pairs of the residual r up to order as (alpha, beta, s_re, s_im, den), graded-lex.
+
+    The exact gap |lhs - rhs|^2 of the pair is (s_re^2 + s_im^2) / (D den)^2
+    with D common to all pairs (module docstring); every listed s is nonzero.
+    """
+    n = r.dim
+    lines = r.lines()
+    k = order + r.max_degree()
     fact = [1]
     for j in range(1, n + k):
         fact.append(fact[-1] * j)
@@ -224,18 +227,13 @@ def _scan(f: SpherePolynomial, order: int) -> list[tuple]:
              c.im.numerator * (denom // c.im.denominator))
             for mu, _, c in lines[d]
         ]
-        if min(d) < 0:
-            plan.append((d, terms, None))
-        else:
-            s0_re = sum(re * weight(mu) for mu, re, _ in terms)
-            s0_im = sum(im * weight(mu) for mu, _, im in terms)
-            plan.append((d, terms, (s0_re, s0_im, weight(d))))
+        plan.append((d, terms, min(d) < 0))
     indices = graded_indices(n, order)
     lookup = {idx: idx for idx in indices}
     full = scale[0]  # M = (n-1+K)!/(n-1)!
     out = []
     for alpha in indices:
-        for d, terms, rhs in plan:
+        for d, terms, kind_a in plan:
             beta = lookup.get(tuple(map(add, alpha, d)))
             if beta is None:
                 continue
@@ -244,17 +242,8 @@ def _scan(f: SpherePolynomial, order: int) -> list[tuple]:
                 w = weight(tuple(map(add, alpha, mu)))
                 s_re += re * w
                 s_im += im * w
-            if rhs is None:  # condition A: moment = S / (D M) must vanish
-                if s_re or s_im:
-                    out.append((alpha, beta, s_re, s_im, full))
-                continue
-            # condition B: S(alpha,d) / (D W(beta)) against S(0,d) / (D W(d))
-            s0_re, s0_im, w_d = rhs
-            w_beta = weight(beta)
-            x_re = s_re * w_d - s0_re * w_beta
-            x_im = s_im * w_d - s0_im * w_beta
-            if x_re or x_im:
-                out.append((alpha, beta, x_re, x_im, w_beta * w_d))
+            if s_re or s_im:  # gap S / (D M) for A, S / (D W(beta)) for B
+                out.append((alpha, beta, s_re, s_im, full if kind_a else weight(beta)))
     return out
 
 
@@ -319,21 +308,24 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     docstring) and escalates by ESCALATION_STEP until some violated condition
     appears.  After MAX_ESCALATIONS steps below that order it jumps straight
     to it, so the search always ends; the certificate records the order where
-    it stopped.  Each step is one integer scan (module docstring): the worst
-    violation is picked by integer cross-multiplication and only it gets
-    exact Fractions, through check_condition.  A step whose scan estimate
-    exceeds WORK_BUDGET raises PreconditionError.
+    it stopped.  Each step is one integer scan of the residual f - g
+    (module docstring): the worst violation is picked by integer
+    cross-multiplication and only it gets exact Fractions, through
+    check_condition.  A step whose scan estimate exceeds WORK_BUDGET raises
+    PreconditionError.
     """
     residual_sq, g = szego_residual(f)
     if residual_sq == 0:
         return MembershipCertificate(
             member=True, residual_sq=residual_sq, witness_extension=g, violation=None
         )
+    r = f - g
     bound = f.max_degree() + 1
     order = sweep_order if sweep_order is not None else bound
     steps = 0
     while True:
-        violations = _scan(f, order)
+        _check_budget(f, order)
+        violations = _scan(r, order)
         if violations:
             logger.info("violation found at sweep order %d", order)
             return MembershipCertificate(

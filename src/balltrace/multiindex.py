@@ -137,11 +137,13 @@ def monomial_norm_sq(idx: tuple[int, ...]) -> Fraction:
 
     Equals 1 for the zero index (the measure is normalized) and for every
     index when n = 1 (|zeta|=1 on the circle makes all these monomials
-    unimodular).  Takes a MultiIndex or a plain tuple of nonnegative ints,
-    so hot loops need not build a MultiIndex per term.
+    unimodular).  Computed as the reciprocal of the multinomial coefficient
+    prod_k C(n-1 + idx_1 + ... + idx_k, idx_k), with no factorial quotient
+    to reduce.  Takes a MultiIndex or a plain tuple of nonnegative ints, so
+    hot loops need not build a MultiIndex per term.
     """
-    n = len(idx)
-    return Fraction(
-        math.factorial(n - 1) * math.prod(map(math.factorial, idx)),
-        math.factorial(n - 1 + sum(idx)),
-    )
+    top, multinomial = len(idx) - 1, 1
+    for c in idx:
+        top += c
+        multinomial *= math.comb(top, c)
+    return Fraction(1, multinomial)

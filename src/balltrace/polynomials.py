@@ -201,11 +201,7 @@ class SpherePolynomial:
         self._check_same(other)
         out = dict(self._terms)
         for key, coeff in other._terms.items():
-            cur = out.get(key, ZERO) + coeff
-            if cur:
-                out[key] = cur
-            else:
-                out.pop(key, None)
+            out[key] = out.get(key, ZERO) + coeff
         return SpherePolynomial(self.dim, out)
 
     def __sub__(self, other) -> "SpherePolynomial":
@@ -228,11 +224,7 @@ class SpherePolynomial:
         for (mu1, nu1), c1 in self._terms.items():
             for (mu2, nu2), c2 in other._terms.items():
                 key = (mu1 + mu2, nu1 + nu2)
-                cur = out.get(key, ZERO) + c1 * c2
-                if cur:
-                    out[key] = cur
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, ZERO) + c1 * c2
         return SpherePolynomial(self.dim, out)
 
     def conjugate(self) -> "SpherePolynomial":

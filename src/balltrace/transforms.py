@@ -56,7 +56,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
-from .exact import ComplexFraction
+from .exact import ZERO
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import (
@@ -76,22 +76,15 @@ def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
     """Exact Cauchy transform of polynomial boundary data.
 
     This is the orthogonal projection onto holomorphic polynomials w.r.t.
-    the exact L2 inner product; see the module docstring for the term rule.
+    the exact L2 inner product; by the term rule of the module docstring it
+    is one exact sum per line d >= 0 of f:
+        C[f] = sum_d (sum over the line's terms t of c_t norm_sq(mu_t) / norm_sq(d)) z^d.
     """
-    out: dict[MultiIndex, ComplexFraction] = {}
-    # the stored (mu, nu) terms in insertion order, also when f is itself a witness
-    for (mu, nu), coeff in f._terms.items():
-        if not mu.dominates(nu):
-            continue
-        w = mu - nu
-        gain = coeff * (monomial_norm_sq(mu) / monomial_norm_sq(w))
-        cur = out.get(w)
-        total = gain if cur is None else cur + gain
-        if total:
-            out[w] = total
-        elif cur is not None:
-            del out[w]
-    return HolomorphicPolynomial(f.dim, out)
+    return HolomorphicPolynomial(f.dim, {
+        d: sum((c * monomial_norm_sq(mu) for mu, _, c in group), ZERO) * (1 / monomial_norm_sq(d))
+        for d, group in f.lines().items()
+        if min(d) >= 0
+    })
 
 
 def cauchy_transform_mc(
@@ -334,14 +327,13 @@ def radial_scan(
     radii: Sequence[float],
     sampler: SphereSampler,
     n_samples: int,
-    tail_tol: float = RADIAL_TAIL_TOL,
 ) -> list[RadialScanRow]:
     """Lp distance and norm of the radial slices P[f](r * zeta) against f.
 
     All radii share one sample set (common random numbers), which is what
     makes the decrease of lp_error along increasing radii visible at modest
     sample counts.  The Poisson values come from the truncated series with
-    order selected so the certified tail is below tail_tol.
+    order selected so the certified tail is below RADIAL_TAIL_TOL.
     """
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"exponent must be finite with p >= 1, got {p}")
@@ -355,7 +347,7 @@ def radial_scan(
     boundary = f.eval(batch)
     rows = []
     for r in radii:
-        order = choose_poisson_order(f, r, tail_tol)
+        order = choose_poisson_order(f, r)
         slice_vals = poisson_series_eval(f, r * batch, order)
         err, err_se = _lp_estimate(slice_vals - boundary, p)
         norm_r, _ = _lp_estimate(slice_vals, p)

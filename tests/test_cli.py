@@ -513,6 +513,24 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["type"] == "PreconditionError" and "10908404" in line
 
+    def test_huge_decimal_exponent_is_schema_error_quickly(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 1, "terms": [{"mu": [1], "nu": [0], "re": "1e9999999", "im": "0/1"}]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 1 and out == "" and time.perf_counter() - start < 1.0
+        assert json.loads(err)["error"]["type"] == "SchemaError"
+
+    def test_huge_exponent_member_exits_0(self, capsys, tmp_path):
+        # zeta_1^(10^6) in n = 1 is holomorphic: its own witness
+        path = tmp_path / "huge_power.json"
+        path.write_text('{"n": 1, "terms": [{"mu": [1000000], "nu": [0], "re": "1/1", "im": "0/1"}]}')
+        code, out, _ = run(capsys, "check", "--input", str(path))
+        assert code == 0
+        cert = json.loads(out)
+        assert cert["member"] is True
+        assert cert["witness_extension"]["terms"] == [{"mu": [1000000], "re": "1/1", "im": "0/1"}]
+
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 

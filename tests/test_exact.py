@@ -143,6 +143,17 @@ class TestSerialization:
         with pytest.raises(SchemaError):
             parse_rational("one half")
 
+    @pytest.mark.parametrize("text", ["1e9999999", "0.5", "1/0", "1/-2", "1_000"])
+    def test_only_integers_and_quotients_accepted(self, text):
+        # decimals and exponent notation are refused before any arithmetic
+        from balltrace.errors import SchemaError
+
+        with pytest.raises(SchemaError):
+            parse_rational(text)
+
+    def test_surrounding_whitespace_and_sign(self):
+        assert parse_rational(" +6/4\n") == Fraction(3, 2)
+
     @pytest.mark.parametrize("value", [1.5, 1, None])
     def test_non_string_literal_rejected(self, value):
         from balltrace.errors import SchemaError

@@ -129,6 +129,15 @@ class TestNormSqConstants:
         total = sum(monomial_norm_sq(MultiIndex.unit(n, k)) for k in range(n))
         assert total == 1
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_factorial_formula(self, n):
+        # the multinomial reciprocal equals (n-1)! w! / (n-1+|w|)!
+        for w in graded_indices(n, 8):
+            expected = Fraction(
+                math.factorial(n - 1) * w.index_factorial(), math.factorial(n - 1 + w.degree)
+            )
+            assert monomial_norm_sq(w) == expected
+
     def test_closed_form_spot_check(self):
         # n=3, w=(2,1,0): 2! * (2*1*1) / 5! = 4/120
         assert monomial_norm_sq(MultiIndex((2, 1, 0))) == Fraction(2 * 2, math.factorial(5))
