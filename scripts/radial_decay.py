@@ -14,6 +14,7 @@ from pathlib import Path
 sys.path.insert(0, "src")  # allow running from a fresh checkout
 
 from balltrace import SpherePolynomial, SphereSampler, radial_scan
+from balltrace.transforms import RADIAL_CSV_HEADER
 
 CASES = {
     "member_z1z2": SpherePolynomial.monomial(2, (1, 1), (0, 0)),
@@ -39,13 +40,7 @@ def main() -> int:
         rows = radial_scan(f, args.p, radii, SphereSampler(f.dim, args.seed), args.samples)
         dest = outdir / f"{name}.csv"
         with open(dest, "w", encoding="utf-8") as fh:
-            fh.write("r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n")
-            for row in rows:
-                fh.write(
-                    f"{row.r:.17g},{row.p:.17g},{row.lp_error:.17g},"
-                    f"{row.lp_error_stderr:.17g},{row.lp_norm_r:.17g},"
-                    f"{row.samples},{row.seed}\n"
-                )
+            fh.write("\n".join([RADIAL_CSV_HEADER] + [row.csv() for row in rows]) + "\n")
         print(f"{name}: wrote {dest}")
         for row in rows:
             print(f"  r={row.r:<5} error={row.lp_error:.6f} norm_r={row.lp_norm_r:.6f}")

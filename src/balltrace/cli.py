@@ -9,8 +9,10 @@ renderings as strings with 17 significant digits, orderings are graded-lex.
 Exit codes: 0 success, 1 usage (flags or input document), 2 violated
 precondition or domain restriction, 3 numerical failure (singularity,
 divergence, lost convergence, failed verification), 4 I/O, 5 internal
-error (any other exception, such as MemoryError).  Every error prints a
-one-line JSON object to stderr.
+error (any other exception, such as MemoryError).  The package's own errors
+carry their code as the class attribute exit_code (balltrace.errors); main
+adds only the builtin cases.  Every error prints a one-line JSON object to
+stderr.
 """
 
 from __future__ import annotations
@@ -39,12 +41,9 @@ from .membership import WORK_BUDGET, is_boundary_trace, sweep, szego_residual
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import SpherePolynomial, mc_moment, moment
 from .sphere import _MASK64, SphereSampler
-from .transforms import cauchy_transform_poly, poisson_transform_mc, radial_scan
+from .transforms import RADIAL_CSV_HEADER, cauchy_transform_poly, poisson_transform_mc, radial_scan
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_PRECONDITION = 2
-EXIT_NUMERICAL = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
@@ -143,8 +142,7 @@ def _emit_json(doc, destination: str | None) -> None:
 
 def _cmd_constants(config: RunConfig) -> int:
     # C(order+n, n) rows; a dimension below 1 is left to graded_indices, which rejects it
-    count = math.comb(config.order + config.n, config.n) if config.n >= 1 else 0
-    if count > WORK_BUDGET:
+    if config.n >= 1 and (count := math.comb(config.order + config.n, config.n)) > WORK_BUDGET:
         raise PreconditionError(
             f"a constants table at order {config.order} in dimension {config.n} would "
             f"have {count} rows (C(order+n, n)), above the budget of {WORK_BUDGET}"
@@ -212,26 +210,18 @@ def _cmd_radial_scan(config: RunConfig) -> int:
     f = _load_polynomial(config.input_path)
     sampler = SphereSampler(f.dim, config.seed)
     rows = radial_scan(f, config.p, list(config.radii), sampler, config.samples)
-    lines = ["r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed"]
-    lines += [
-        ",".join(
-            (
-                _f17(row.r),
-                _f17(row.p),
-                _f17(row.lp_error),
-                _f17(row.lp_error_stderr),
-                _f17(row.lp_norm_r),
-                str(row.samples),
-                str(row.seed),
-            )
-        )
-        for row in rows
-    ]
+    lines = [RADIAL_CSV_HEADER] + [row.csv() for row in rows]
     _write_output("\n".join(lines) + "\n", config.output)
     return EXIT_OK
 
 
 def _cmd_verify(config: RunConfig) -> int:
+    # each random polynomial draws from the indices of degree <= 3; n < 1 is left to graded_indices
+    if config.n >= 1 and (pool := math.comb(config.n + 3, 3)) > WORK_BUDGET:
+        raise PreconditionError(
+            f"verify in dimension {config.n} would enumerate {pool} indices (C(n+3, 3)) "
+            f"per random polynomial, above the budget of {WORK_BUDGET}"
+        )
     checks = _run_verify(config.n, config.seed, config.samples)
     failures = [name for name, ok, _ in checks if not ok]
     lines = [f"{'ok' if ok else 'FAIL'} - {name}: {detail}" for name, ok, detail in checks]
@@ -403,20 +393,14 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return run(config_from_args(args))
-    except UsageError as exc:
-        return _error_exit(exc, EXIT_USAGE)
-    except PreconditionError as exc:
-        return _error_exit(exc, EXIT_PRECONDITION)
-    except NumericalError as exc:
-        return _error_exit(exc, EXIT_NUMERICAL)
+    except BalltraceError as exc:
+        return _error_exit(exc, exc.exit_code)
     except OSError as exc:
         return _error_exit(exc, EXIT_IO)
     except ValueError as exc:  # library-level argument rejections
-        return _error_exit(exc, EXIT_PRECONDITION)
+        return _error_exit(exc, PreconditionError.exit_code)
     except (OverflowError, ZeroDivisionError) as exc:
-        return _error_exit(exc, EXIT_NUMERICAL)
-    except BalltraceError as exc:
-        return _error_exit(exc, EXIT_USAGE)
+        return _error_exit(exc, NumericalError.exit_code)
     except Exception as exc:  # KeyboardInterrupt and SystemExit still propagate
         return _error_exit(exc, EXIT_INTERNAL)
 

@@ -1,10 +1,11 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes: UsageError -> 1 (bad flags or
-input documents), PreconditionError -> 2 (violated operation preconditions
-and domain restrictions), NumericalError -> 3, I/O -> 4, and any other
-exception (an internal error, such as MemoryError or a broken invariant) ->
-5.  Library users can catch the base class BalltraceError.
+Each class carries the CLI's process exit code as the class attribute
+exit_code, and subclasses inherit it: BalltraceError and UsageError -> 1
+(bad flags or input documents), PreconditionError -> 2 (violated operation
+preconditions and domain restrictions), NumericalError -> 3.  The CLI adds
+the builtin cases (I/O -> 4, any other exception -> 5).  Library users can
+catch the base class BalltraceError.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 class BalltraceError(Exception):
     """Base class for all errors raised by this package."""
+    exit_code = 1
 
 
 class UsageError(BalltraceError):
@@ -24,6 +26,7 @@ class SchemaError(UsageError):
 
 class PreconditionError(BalltraceError):
     """An operation was called outside its stated precondition."""
+    exit_code = 2
 
 
 class DimensionMismatchError(PreconditionError):
@@ -40,6 +43,7 @@ class DomainError(PreconditionError):
 
 class NumericalError(BalltraceError):
     """Numerical failure: singularity, divergence, lost convergence."""
+    exit_code = 3
 
 
 class SingularityError(NumericalError):

@@ -13,6 +13,7 @@ denominator always present (``"1/6"``, ``"-3/1"``); a complex rational as
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from fractions import Fraction
@@ -176,9 +177,12 @@ def to_complex(z: ScalarLike) -> complex:
 
 
 def format_rational(q: RationalLike) -> str:
-    """Render as "num/den" with the denominator always explicit."""
+    """Render as "num/den" with the denominator always explicit, at any length."""
     q = as_rational(q)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's int-to-str digit limit; decimal has none
+        return f"{decimal.Decimal(q.numerator)}/{decimal.Decimal(q.denominator)}"
 
 
 _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")

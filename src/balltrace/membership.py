@@ -267,8 +267,7 @@ def szego_residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial
     data lies in every Lp, so membership does not depend on p).
     """
     g = cauchy_transform_poly(f)
-    residual_sq = l2_norm_sq(f - g)
-    return residual_sq, g
+    return l2_norm_sq(f - g), g
 
 
 @dataclass(frozen=True)
@@ -302,24 +301,25 @@ class MembershipCertificate:
 def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> MembershipCertificate:
     """Decide membership exactly and produce a certificate.
 
-    The decision itself comes from the exact Szego residual.  For a
+    The decision itself comes from the exact Szego residual r = f - C[f],
+    formed once and used both for ||r||^2 and for the scans.  For a
     non-member, the sweep runs at sweep_order (default: the polynomial's
     maximum degree plus one, where a violation is guaranteed; see the module
     docstring) and escalates by ESCALATION_STEP until some violated condition
     appears.  After MAX_ESCALATIONS steps below that order it jumps straight
     to it, so the search always ends; the certificate records the order where
-    it stopped.  Each step is one integer scan of the residual f - g
-    (module docstring): the worst violation is picked by integer
-    cross-multiplication and only it gets exact Fractions, through
-    check_condition.  A step whose scan estimate exceeds WORK_BUDGET raises
-    PreconditionError.
+    it stopped.  Each step is one integer scan of r (module docstring): the
+    worst violation is picked by integer cross-multiplication and only it
+    gets exact Fractions, through check_condition.  A step whose scan
+    estimate exceeds WORK_BUDGET raises PreconditionError.
     """
-    residual_sq, g = szego_residual(f)
+    g = cauchy_transform_poly(f)
+    r = f - g
+    residual_sq = l2_norm_sq(r)
     if residual_sq == 0:
         return MembershipCertificate(
             member=True, residual_sq=residual_sq, witness_extension=g, violation=None
         )
-    r = f - g
     bound = f.max_degree() + 1
     order = sweep_order if sweep_order is not None else bound
     steps = 0

@@ -13,8 +13,11 @@ Everything else (moments, inner products, Szego projections, the membership
 conditions) follows from this identity by linearity, in exact rational
 arithmetic.  A term zeta^mu conj(zeta)^nu pairs nontrivially with
 zeta^alpha conj(zeta)^beta only when beta - alpha = mu - nu, so every
-polynomial groups its terms by difference line d = mu - nu, and moments and
-inner products visit only the terms on the one line that can contribute.
+polynomial groups its terms by difference line d = mu - nu, and a moment
+visits only the terms on the one line that can contribute.  moment is the
+one exact implementation of the pairing: inner products (so L2 norms and
+distances) pair f with each term of g through it, and the Cauchy
+projection of transforms takes one moment per line.
 
 The exact Laplacian sum_j d/dz_j d/dconj(z_j) splits f on the sphere into
 bigraded harmonic components H(p,q) (SpherePolynomial.harmonics), the
@@ -417,18 +420,14 @@ def moment(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ComplexF
 
 
 def inner_product(f: SpherePolynomial, g: SpherePolynomial) -> ComplexFraction:
-    """Exact L2(sigma) inner product <f, g> = integral of f * conj(g); conjugate-linear in g."""
+    """Exact L2(sigma) inner product <f, g> = integral of f * conj(g); conjugate-linear in g.
+
+    A term b zeta^mu conj(zeta)^nu of g contributes conj(b) moment(f, nu, mu).
+    """
     f._check_same(g)
     total = ZERO
-    g_lines = g.lines()
-    for d, group in f.lines().items():
-        other = g_lines.get(d, ())
-        for mu, _, a in group:
-            for _, nu2, b in other:
-                # <z^mu zbar^nu, z^mu2 zbar^nu2> = norm_sq(mu+nu2) iff mu+nu2 = nu+mu2,
-                # i.e. iff both terms lie on the same line mu - nu = mu2 - nu2
-                left = tuple(m + v for m, v in zip(mu, nu2))
-                total = total + a * b.conjugate() * monomial_norm_sq(left)
+    for (mu, nu), b in g._terms.items():
+        total = total + b.conjugate() * moment(f, nu, mu)
     return total
 
 

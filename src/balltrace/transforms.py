@@ -8,9 +8,11 @@ dominates nu and there contributes
 
     C[zeta^mu conj(zeta)^nu](z) = (norm_sq(mu) / norm_sq(mu - nu)) z^(mu-nu),
 
-and 0 otherwise; the transform extends by linearity.  Holomorphic monomials
-reproduce themselves (the coefficient ratio is 1), so the transform is an
-idempotent projection onto holomorphic polynomials.
+and 0 otherwise; the transform extends by linearity.  Summed over a line
+d = mu - nu >= 0 of f, the numerators are exactly moment(f, 0, d), so the
+transform is one exact moment per line.  Holomorphic monomials reproduce
+themselves (the coefficient ratio is 1), so the transform is an idempotent
+projection onto holomorphic polynomials.
 
 Poisson integral of polynomial data.  P[f](z) is evaluated through the
 moment expansion
@@ -50,13 +52,12 @@ summed bound fits the requested tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
-from .exact import ZERO
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import (
@@ -65,6 +66,7 @@ from .polynomials import (
     SpherePolynomial,
     _PowerTable,
     _weighted_mean,
+    moment,
 )
 from .sphere import SphereSampler
 
@@ -77,13 +79,11 @@ def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
 
     This is the orthogonal projection onto holomorphic polynomials w.r.t.
     the exact L2 inner product; by the term rule of the module docstring it
-    is one exact sum per line d >= 0 of f:
-        C[f] = sum_d (sum over the line's terms t of c_t norm_sq(mu_t) / norm_sq(d)) z^d.
+    is one moment per line d >= 0 of f:
+        C[f] = sum_d moment(f, 0, d) / norm_sq(d) z^d.
     """
     return HolomorphicPolynomial(f.dim, {
-        d: sum((c * monomial_norm_sq(mu) for mu, _, c in group), ZERO) * (1 / monomial_norm_sq(d))
-        for d, group in f.lines().items()
-        if min(d) >= 0
+        d: moment(f, (0,) * f.dim, d) * (1 / monomial_norm_sq(d)) for d in f.lines() if min(d) >= 0
     })
 
 
@@ -308,6 +308,13 @@ class RadialScanRow:
     lp_norm_r: float
     samples: int
     seed: int
+
+    def csv(self) -> str:
+        """The row as one line under RADIAL_CSV_HEADER: floats to 17 significant digits."""
+        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in astuple(self))
+
+
+RADIAL_CSV_HEADER = ",".join(field.name for field in fields(RadialScanRow))
 
 
 def _lp_estimate(values: np.ndarray, p: float) -> tuple[float, float]:

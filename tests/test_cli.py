@@ -1,11 +1,14 @@
 import json
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from balltrace import cli
+from balltrace import cli, errors
 from balltrace.cli import main, parse_polynomial
 from balltrace.errors import SchemaError
+from balltrace.membership import is_boundary_trace
 from balltrace.multiindex import MultiIndex
 from balltrace.polynomials import SpherePolynomial
 
@@ -196,6 +199,26 @@ CONJ140_CHECK_ORDER_0 = """{
 }
 """
 
+# mixed n = 2 data: 1/2 zeta_1 + (1 - i/3) zeta_1 conj(zeta_2) + 2i zeta_1^2 zeta_2 conj(zeta_1)
+MIXED2 = (
+    '{"n": 2, "terms": [{"mu": [1, 0], "nu": [0, 0], "re": "1/2", "im": "0/1"}, '
+    '{"mu": [1, 0], "nu": [0, 1], "re": "1/1", "im": "-1/3"}, '
+    '{"mu": [2, 1], "nu": [1, 0], "re": "0/1", "im": "2/1"}]}'
+)
+
+# exact stdout of `radial-scan` on COORDINATE and MIXED2, pinned byte for byte
+COORDINATE_RADIAL = (
+    "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n"
+    "0.5,2,0.35586004807848864,0.0022674234000518629,0.35586004211291972,2000,3\n"
+    "0.90000000000000002,2,0.071172009622105417,0.00045348468005120023,0.6405480805693029,2000,3\n"
+)
+MIXED2_RADIAL = (
+    "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n"
+    "0.29999999999999999,2,0.62001916398156742,0.007345785402417879,0.11471181247658693,2000,5\n"
+    "0.5,2,0.52239746815292654,0.0060742732287353733,0.21731693817886402,2000,5\n"
+    "0.69999999999999996,2,0.38307079348066525,0.0043369609574958196,0.35623546274002243,2000,5\n"
+)
+
 
 @pytest.fixture
 def counterexample_file(tmp_path):
@@ -371,6 +394,18 @@ class TestRadialScanCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_coordinate_stdout_bytes(self, capsys, coordinate_file):
+        args = ("--p", "2", "--radii", "0.5,0.9", "--seed", "3", "--samples", "2000")
+        assert run(capsys, "radial-scan", "--input", coordinate_file, *args) == (
+            0, COORDINATE_RADIAL, ""
+        )
+
+    def test_mixed_stdout_bytes(self, capsys, tmp_path):
+        path = tmp_path / "mixed.json"
+        path.write_text(MIXED2)
+        args = ("--radii", "0.3,0.5,0.7", "--seed", "5", "--samples", "2000")
+        assert run(capsys, "radial-scan", "--input", str(path), *args) == (0, MIXED2_RADIAL, "")
+
     def test_output_file(self, capsys, coordinate_file, tmp_path):
         dest = tmp_path / "scan.csv"
         code, out, _ = run(
@@ -451,6 +486,31 @@ class TestRunConfig:
         assert code == 2
 
 
+# the documented exit code of every exception class in balltrace.errors
+EXPECTED_EXIT_CODES = {
+    "BalltraceError": 1,
+    "UsageError": 1,
+    "SchemaError": 1,
+    "PreconditionError": 2,
+    "DimensionMismatchError": 2,
+    "DominationError": 2,
+    "DomainError": 2,
+    "NumericalError": 3,
+    "SingularityError": 3,
+    "DivergenceError": 3,
+    "ConvergenceError": 3,
+    "EvaluationError": 3,
+}
+_ERROR_CLASSES = [
+    obj for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, errors.BalltraceError)
+]
+
+
+def test_every_error_class_has_an_expected_code():
+    assert {t.__name__ for t in _ERROR_CLASSES} == set(EXPECTED_EXIT_CODES)
+
+
 class TestExitCodes:
     def test_missing_file_is_io(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", "--input", str(tmp_path / "nope.json"))
@@ -493,6 +553,20 @@ class TestExitCodes:
             "type": type(exc).__name__, "message": str(exc), "exit_code": 5,
         }
 
+    @pytest.mark.parametrize("exc_type", _ERROR_CLASSES, ids=lambda t: t.__name__)
+    def test_every_error_class_has_its_code(self, capsys, monkeypatch, counterexample_file, exc_type):
+        def broken(config):
+            raise exc_type("raised on purpose")
+
+        monkeypatch.setitem(cli._COMMANDS, "check", broken)
+        code, out, err = run(capsys, "check", "--input", counterexample_file)
+        expected = EXPECTED_EXIT_CODES[exc_type.__name__]
+        assert code == expected and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"] == {
+            "type": exc_type.__name__, "message": "raised on purpose", "exit_code": expected,
+        }
+
     def test_keyboard_interrupt_propagates(self, monkeypatch, counterexample_file):
         def interrupted(config):
             raise KeyboardInterrupt
@@ -530,6 +604,41 @@ class TestExitCodes:
         cert = json.loads(out)
         assert cert["member"] is True
         assert cert["witness_extension"]["terms"] == [{"mu": [1000000], "re": "1/1", "im": "0/1"}]
+
+    def test_exact_values_past_the_digit_limit_render(self, capsys, tmp_path):
+        # zeta_1 zeta_2 conj(zeta_1 zeta_2) with coefficient 10^4299 / (10^4299 + 1)
+        num, den = "1" + "0" * 4299, "1" + "0" * 4298 + "1"
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 2, "terms": [
+            {"mu": [1, 1], "nu": [1, 1], "re": f"{num}/{den}", "im": "0/1"}
+        ]}))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 0 and err == ""
+        # int(str) has the digit limit, Decimal does not
+        top, bottom = json.loads(out)["residual_sq"].split("/")
+        expected = is_boundary_trace(parse_polynomial(path.read_text())).residual_sq
+        assert Fraction(int(Decimal(top)), int(Decimal(bottom))) == expected
+
+    def test_float_rendering_overflow_is_numerical(self, capsys, tmp_path):
+        path = tmp_path / "nines.json"
+        path.write_text(json.dumps({"n": 2, "terms": [
+            {"mu": [1, 1], "nu": [1, 1], "re": "9" * 4299 + "/7", "im": "0/1"}
+        ]}))
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "OverflowError"
+
+    def test_verify_over_budget_exits_2_quickly(self, capsys, monkeypatch):
+        from balltrace import generators, membership
+
+        for module in (cli, generators, membership):
+            monkeypatch.setattr(module, "graded_indices", None)  # never enumerated
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", "--n", "2000", "--samples", "100")
+        assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "PreconditionError" and "1337337001" in line
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -160,3 +160,11 @@ class TestSerialization:
 
         with pytest.raises(SchemaError):
             parse_rational(value)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_past_the_int_to_str_digit_limit(self, sign):
+        # 10^5000 has 5001 digits, past the interpreter's default limit of 4300
+        assert format_rational(Fraction(sign * 10**5000, 3)) == (
+            ("-" if sign < 0 else "") + "1" + "0" * 5000 + "/3"
+        )
+        assert format_rational(Fraction(7, 10**5000)) == "7/1" + "0" * 5000
