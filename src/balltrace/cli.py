@@ -47,6 +47,12 @@ EXIT_OK = 0
 EXIT_IO = 4
 EXIT_INTERNAL = 5
 
+# Largest Monte-Carlo request accepted, in sample coordinates samples * n.
+# radial-scan holds its whole (samples, n) batch at 16 bytes a coordinate
+# (320 MB at the budget); verify's estimators stream, but take time in
+# proportion.
+SAMPLE_BUDGET = 20_000_000
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -208,6 +214,7 @@ def _cmd_sweep(config: RunConfig) -> int:
 
 def _cmd_radial_scan(config: RunConfig) -> int:
     f = _load_polynomial(config.input_path)
+    _check_samples(config.samples, f.dim)
     sampler = SphereSampler(f.dim, config.seed)
     rows = radial_scan(f, config.p, list(config.radii), sampler, config.samples)
     lines = [RADIAL_CSV_HEADER] + [row.csv() for row in rows]
@@ -222,6 +229,7 @@ def _cmd_verify(config: RunConfig) -> int:
             f"verify in dimension {config.n} would enumerate {pool} indices (C(n+3, 3)) "
             f"per random polynomial, above the budget of {WORK_BUDGET}"
         )
+    _check_samples(config.samples, config.n)
     checks = _run_verify(config.n, config.seed, config.samples)
     failures = [name for name, ok, _ in checks if not ok]
     lines = [f"{'ok' if ok else 'FAIL'} - {name}: {detail}" for name, ok, detail in checks]
@@ -230,6 +238,15 @@ def _cmd_verify(config: RunConfig) -> int:
     if failures:
         raise NumericalError(f"verification failed: {', '.join(failures)}")
     return EXIT_OK
+
+
+def _check_samples(samples: int, n: int) -> None:
+    """Refuse, before any draw, a request of more than SAMPLE_BUDGET sample coordinates."""
+    if samples * n > SAMPLE_BUDGET:
+        raise PreconditionError(
+            f"{samples} samples in dimension {n} are {samples * n} sample coordinates, "
+            f"above the budget of {SAMPLE_BUDGET}"
+        )
 
 
 def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:

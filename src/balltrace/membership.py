@@ -44,8 +44,11 @@ for A and |S| / (D W(beta)) for B: ratios of integers with the common
 factor D, so the worst violation is found by cross-multiplying integers,
 ties going to the first pair in graded-lex order, and Fractions are built
 only for the pairs that get a report, through check_condition on f.  W is
-cached for one scan.  A scan first estimates its candidate pairs as
-C(N + n, n) * (lines of f) and refuses to start above WORK_BUDGET.
+cached for one scan.  A scan first estimates its work and refuses to start
+above WORK_BUDGET: C(N + n, n) * (lines of r) candidate pairs plus K table
+rows, each counted once per started SIZE_UNIT_BITS bits of M, the largest
+integer of the tables (its bit count comes from lgamma, so nothing is
+built for the estimate).
 """
 
 from __future__ import annotations
@@ -79,10 +82,14 @@ logger = logging.getLogger(__name__)
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 64
 
-# Largest condition scan accepted, in candidate pairs C(order + n, n) * lines.
+# Largest condition scan accepted, in candidate pairs C(order + n, n) * lines
+# plus table rows, while the scan's integers stay below SIZE_UNIT_BITS bits.
 # At the budget a one-term input (n = 3, order 111) scans in about 1.6 s and
 # 64 MB on a 2-core x86 VM; a 20-line input at n = 4, order 6 estimates 4200.
 WORK_BUDGET = 250_000
+# Integers past this many bits count once more per started unit: their
+# products cost time, and the K factorials of the tables hold K * bits / 2 bits.
+SIZE_UNIT_BITS = 1024
 
 
 @dataclass(frozen=True)
@@ -172,25 +179,29 @@ def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
     The integer scan of the residual r = f - C[f] (module docstring) finds
     the violated pairs; only those get a ConditionReport, built through
     check_condition on f.  A member (r = 0) returns [] without scanning.
-    Raises PreconditionError, before the projection, when the scan's
-    estimate exceeds WORK_BUDGET.
+    Raises PreconditionError, before the scan, when its estimate exceeds
+    WORK_BUDGET.
     """
-    _check_budget(f, max_order)
     r = f - cauchy_transform_poly(f)
     if r.is_zero():
         return []
+    _check_budget(r, max_order)
     return [check_condition(f, alpha, beta) for alpha, beta, *_ in _scan(r, max_order)]
 
 
-def _check_budget(f: SpherePolynomial, order: int) -> None:
-    """Refuse a scan whose C(order + n, n) * lines candidate pairs exceed WORK_BUDGET."""
-    n, lines = f.dim, len(f.lines())
-    estimate = math.comb(order + n, n) * lines
+def _check_budget(r: SpherePolynomial, order: int) -> None:
+    """Refuse a scan of r whose estimate (module docstring) exceeds WORK_BUDGET."""
+    n, lines = r.dim, len(r.lines())
+    pairs = math.comb(order + n, n) * lines
+    k = order + r.max_degree()
+    bits = (math.lgamma(n + k) - math.lgamma(n)) / math.log(2)  # of M = (n-1+K)!/(n-1)!
+    estimate = (pairs + k) * (1 + int(bits) // SIZE_UNIT_BITS)
     if estimate > WORK_BUDGET:
         raise PreconditionError(
             f"a condition scan at order {order} in dimension {n} would form about "
-            f"{estimate} candidate pairs (C(order+n, n) * {lines} lines), above "
-            f"the budget of {WORK_BUDGET}"
+            f"{pairs} candidate pairs (C(order+n, n) * {lines} lines) on integers of "
+            f"about {int(bits)} bits: {estimate} units of work, above the budget of "
+            f"{WORK_BUDGET}"
         )
 
 
@@ -206,7 +217,9 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
     fact = [1]
     for j in range(1, n + k):
         fact.append(fact[-1] * j)
-    scale = [fact[n - 1 + k] // fact[n - 1 + j] for j in range(k + 1)]
+    scale = [1] * (k + 1)  # scale[j] = (n-1+K)! / (n-1+j)!
+    for j in range(k, 0, -1):
+        scale[j - 1] = scale[j] * (n - 1 + j)
     weights: dict[tuple[int, ...], int] = {}
 
     def weight(omega: tuple[int, ...]) -> int:
@@ -324,7 +337,7 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     order = sweep_order if sweep_order is not None else bound
     steps = 0
     while True:
-        _check_budget(f, order)
+        _check_budget(r, order)
         violations = _scan(r, order)
         if violations:
             logger.info("violation found at sweep order %d", order)

@@ -11,9 +11,12 @@ of fixed-size chunks (CHUNK_DRAWS points each); chunk k is generated by a
 Philox counter-based generator keyed with the 128-bit key (seed, k).  The
 stream therefore depends only on (seed, dimension), never on how callers
 slice their batch requests, and disjoint chunks can be generated in
-parallel and merged in chunk order.  A request generates only the rows of
-a chunk it reaches: Philox fills the draws row by row, so a prefix equals
-the first rows of the whole chunk.
+parallel and merged in chunk order.  A sampler draws each chunk's Philox
+stream once, in order: it keeps the generator of its current chunk and
+draws each next request from it.  Philox fills the draws row by row, so
+successive draws equal one whole draw, and a request generates only the
+rows it reaches.  Estimators stream the sampler in fixed blocks of rows
+(polynomials), so their memory is one block whatever the sample count.
 """
 
 from __future__ import annotations
@@ -114,6 +117,27 @@ def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     return out if batched else complex(out)
 
 
+def _chunk_rng(seed: int, k: int) -> np.random.Generator:
+    """The Philox generator of chunk k of a seed's stream, at its start."""
+    key = np.array([seed & _MASK64, k & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _draw_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
+    """Fill the (rows, dim) complex array z with rng's next Gaussian rows; return their norms.
+
+    Each row takes 2 dim draws: the real parts, then the imaginary parts.
+    Callers scale the rows by 1/norm: numpy divides a complex number by a
+    real c as the product with 1/c, so this is the division's bits at about
+    half its cost.
+    """
+    dim = z.shape[1]
+    x = rng.standard_normal((z.shape[0], 2 * dim))
+    z.real = x[:, :dim]
+    z.imag = x[:, dim:]
+    return np.linalg.norm(z, axis=1)
+
+
 def _chunk(seed: int, dim: int, k: int, rows: int = CHUNK_DRAWS) -> np.ndarray:
     """Rows [0, rows) of chunk k of the (seed, dim) stream: (rows, dim) unit rows.
 
@@ -122,22 +146,21 @@ def _chunk(seed: int, dim: int, k: int, rows: int = CHUNK_DRAWS) -> np.ndarray:
     row (probability 0) is redrawn from the stream past the whole chunk, so
     a prefix that holds one is regenerated as the whole chunk.
     """
-    key = np.array([seed & _MASK64, k & _MASK64], dtype=np.uint64)
     for size in (rows, CHUNK_DRAWS):
-        rng = np.random.Generator(np.random.Philox(key=key))
-        x = rng.standard_normal((size, 2 * dim))
-        z = x[:, :dim] + 1j * x[:, dim:]
-        norms = np.linalg.norm(z, axis=1)
+        rng = _chunk_rng(seed, k)
+        z = np.empty((size, dim), dtype=np.complex128)
+        norms = _draw_rows(rng, z)
         bad = norms < _ZERO_NORM
         if size == CHUNK_DRAWS or not np.any(bad):
             break
     while np.any(bad):
-        m = int(np.count_nonzero(bad))
-        y = rng.standard_normal((m, 2 * dim))
-        z[bad] = y[:, :dim] + 1j * y[:, dim:]
-        norms[bad] = np.linalg.norm(z[bad], axis=1)
+        y = np.empty((int(np.count_nonzero(bad)), dim), dtype=np.complex128)
+        norms[bad] = _draw_rows(rng, y)
+        z[bad] = y
         bad = norms < _ZERO_NORM
-    return z[:rows] / norms[:rows, None]
+    z = z[:rows]
+    z *= (1.0 / norms[:rows])[:, None]
+    return z
 
 
 class SphereSampler:
@@ -153,38 +176,44 @@ class SphereSampler:
         self.dim = int(dim)
         self.seed = int(seed)
         self.counter = 0
-        self._cache_idx = -1
-        self._cache = None
+        self._rng_chunk = -1    # chunk of self._rng, which stands at row self._rng_row
+        self._rng_row = 0
+        self._rng = None
 
-    def _chunk_rows(self, k: int, rows: int) -> np.ndarray:
-        """At least the first `rows` rows of chunk k, generated as a prefix.
+    def _fill(self, k: int, off: int, out: np.ndarray) -> None:
+        """Write rows [off, off + len(out)) of chunk k into out, as unit rows.
 
-        A request past the cached rows regenerates a prefix at least twice
-        as long, so many small requests cost O(rows) draws in total.
+        Draws from the chunk's generator where the last request left it; a
+        request elsewhere (a moved counter) restarts the chunk and skips to
+        off.  A block holding a zero row takes its rows from _chunk, which
+        redraws that row past the chunk's end, where the generator never
+        reaches.
         """
-        if k != self._cache_idx or self._cache.shape[0] < rows:
-            grown = rows if k != self._cache_idx else max(rows, 2 * self._cache.shape[0])
-            self._cache = _chunk(self.seed, self.dim, k, min(grown, CHUNK_DRAWS))
-            self._cache_idx = k
-        return self._cache
+        if k != self._rng_chunk or off < self._rng_row:
+            self._rng_chunk, self._rng_row, self._rng = k, 0, _chunk_rng(self.seed, k)
+        if off > self._rng_row:
+            self._rng.standard_normal((off - self._rng_row, 2 * self.dim))
+        rows = out.shape[0]
+        self._rng_row = off + rows
+        norms = _draw_rows(self._rng, out)
+        if np.any(norms < _ZERO_NORM):
+            out[...] = _chunk(self.seed, self.dim, k, off + rows)[off:]
+        else:
+            out *= (1.0 / norms)[:, None]
 
     def sample_batch(self, count: int) -> np.ndarray:
         """Next `count` draws as an (count, dim) array of unit rows."""
         if count < 0:
             raise ValueError("count must be >= 0")
-        pieces = []
-        pos = self.counter
-        remaining = count
-        while remaining > 0:
-            k, off = divmod(pos, CHUNK_DRAWS)
-            take = min(remaining, CHUNK_DRAWS - off)
-            pieces.append(self._chunk_rows(k, off + take)[off:off + take])
-            pos += take
-            remaining -= take
-        self.counter = pos
-        if not pieces:
-            return np.empty((0, self.dim), dtype=np.complex128)
-        return pieces[0].copy() if len(pieces) == 1 else np.concatenate(pieces)
+        out = np.empty((count, self.dim), dtype=np.complex128)
+        done = 0
+        while done < count:
+            k, off = divmod(self.counter + done, CHUNK_DRAWS)
+            take = min(count - done, CHUNK_DRAWS - off)
+            self._fill(k, off, out[done:done + take])
+            done += take
+        self.counter += count
+        return out
 
     def sample(self) -> SpherePoint:
         """One draw, advancing the counter."""

@@ -97,7 +97,14 @@ def cauchy_transform_mc(
 def poisson_transform_mc(
     g: Callable, z, sampler: SphereSampler, n_samples: int
 ) -> MCEstimate:
-    """Monte-Carlo invariant Poisson integral of a black-box function at z in B."""
+    """Monte-Carlo invariant Poisson integral of a black-box function at z in B.
+
+    The estimate weighs each sample by the Poisson kernel, which grows like
+    (1 - |z|)^(-n) at zeta = z/|z|.  Near the sphere the weighted values are
+    heavy-tailed and the standard error understates the error: for
+    zeta_1 conj(zeta_2) in n = 3 at |z| = 0.99, estimates at 2e5 samples
+    miss the exact series value by up to 8 standard errors.
+    """
     return _kernel_transform_mc(poisson_kernel, g, z, sampler, n_samples)
 
 

@@ -640,6 +640,41 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["type"] == "PreconditionError" and "1337337001" in line
 
+    @pytest.mark.parametrize("command", ["verify", "radial-scan"])
+    def test_sample_budget_exits_2_before_drawing(self, capsys, monkeypatch, coordinate_file, command):
+        monkeypatch.setattr(cli, "SphereSampler", None)  # never drawn
+        source = ["--input", coordinate_file] if command == "radial-scan" else []
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, *source, "--samples", str(10**12))
+        assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "PreconditionError" and "2000000000000" in line
+
+    def test_sample_budget_counts_coordinates(self):
+        cli._check_samples(cli.SAMPLE_BUDGET // 4, 4)
+        with pytest.raises(errors.PreconditionError):
+            cli._check_samples(cli.SAMPLE_BUDGET // 4 + 1, 4)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check",),  # conj(zeta_1)^20000 scans at order 20001 on 553824-bit integers
+            ("sweep", "--order", "120000"),
+        ],
+    )
+    def test_huge_integer_scans_exit_2_quickly(self, capsys, monkeypatch, tmp_path, argv):
+        from balltrace import membership
+
+        monkeypatch.setattr(membership, "graded_indices", None)  # never enumerated
+        path = tmp_path / "conj.json"
+        nu = 20000 if argv[0] == "check" else 1
+        path.write_text('{"n": 1, "terms": [{"mu": [0], "nu": [%d], "re": "1/1", "im": "0/1"}]}' % nu)
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
+        assert code == 2 and out == "" and time.perf_counter() - start < 1.0
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "PreconditionError" and "bits" in line
+
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1
 

@@ -3,8 +3,8 @@
 Every invocation ends in an exit code, never in a traceback: a nonzero code
 comes with exactly one JSON line on stderr that names it, and no input ends
 in the internal-error code 5.  Help (-h) is the one documented SystemExit.
-Examples stay cheap (n <= 4, orders <= 6, --samples <= 2000), because sample
-counts have no work budget yet.
+Examples stay cheap (n <= 4, orders <= 6, --samples <= 2000), because the
+sample budget (cli.SAMPLE_BUDGET coordinates) still allows seconds of work.
 """
 
 import contextlib

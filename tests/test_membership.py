@@ -1,7 +1,9 @@
 import json
 import math
+import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -297,10 +299,32 @@ class TestWorkBudget:
 
     def test_estimate_counts_lines(self, monkeypatch):
         monkeypatch.setattr(membership, "graded_indices", None)
+        # f has two lines; its residual r = conj(zeta_1), the scanned polynomial, one
         f = mono(1, (0,), (1,)) + mono(1, (1,), (0,))
-        order = WORK_BUDGET // 2  # C(order + 1, 1) * 2 lines, just over the budget
-        with pytest.raises(PreconditionError, match=f"{2 * (order + 1)} candidate pairs"):
+        order = WORK_BUDGET // 2
+        with pytest.raises(PreconditionError, match=rf"{order + 1} candidate pairs \(C\(order\+n, n\) \* 1 lines\)"):
             sweep(f, order)
+
+    def test_member_sweep_returns_before_the_budget(self, monkeypatch):
+        monkeypatch.setattr(membership, "graded_indices", None)
+        # f's own lines would estimate C(404, 3) = 10908404 pairs; its residual is 0
+        assert sweep(mono(3, (400, 0, 0), (0, 0, 0)), 401) == []
+        g = random_holomorphic_poly(np.random.default_rng(21), 21, 3).restrict_to_sphere()
+        assert sweep(g, g.max_degree() + 2) == []
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: is_boundary_trace(mono(1, (0,), (20000,))),  # 20002 pairs, 553824-bit integers
+            lambda: sweep(mono(1, (0,), (1,)), 120_000),  # 120001 pairs, 1851624-bit integers
+        ],
+    )
+    def test_integer_size_is_budgeted(self, monkeypatch, run):
+        monkeypatch.setattr(membership, "graded_indices", None)
+        start = time.perf_counter()
+        with pytest.raises(PreconditionError, match="bits"):
+            run()
+        assert time.perf_counter() - start < 1.0
 
 
 class TestSphereRelationInvariance:

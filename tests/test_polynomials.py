@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from balltrace.errors import DimensionMismatchError, EvaluationError, SchemaError
 from balltrace.exact import ComplexFraction
 from balltrace.multiindex import MultiIndex, graded_indices
+from balltrace import polynomials
 from balltrace.polynomials import (
     HolomorphicPolynomial,
     SpherePolynomial,
@@ -17,7 +19,7 @@ from balltrace.polynomials import (
     moment,
     monomial_integral,
 )
-from balltrace.sphere import SphereSampler
+from balltrace.sphere import CHUNK_DRAWS, SphereSampler, mean_and_stderr, monomial_eval
 
 MI = MultiIndex
 
@@ -195,6 +197,50 @@ class TestMCMoment:
         with pytest.raises(EvaluationError) as err:
             mc_moment(bad, MI((0, 0)), MI((0, 0)), sampler2, 10)
         assert err.value.point is not None
+
+    @pytest.mark.parametrize(
+        "n_samples",
+        [2, polynomials._BLOCK_ROWS - 1, polynomials._BLOCK_ROWS, polynomials._BLOCK_ROWS + 1, CHUNK_DRAWS + 3],
+    )
+    def test_streamed_blocks_match_the_whole_batch(self, n_samples):
+        alpha, beta = MI((1, 0)), MI((1, 1))
+        g = lambda Z: 2 + Z[:, 0] * np.conj(Z[:, 1])
+        s = SphereSampler(2, 31)
+        s.sample_batch(5)  # start off a block boundary
+        est = mc_moment(g, alpha, beta, s, n_samples)
+        assert s.counter == 5 + n_samples
+        whole = SphereSampler(2, 31)
+        batch = whole.sample_batch(5 + n_samples)[5:]
+        value, stderr = mean_and_stderr(monomial_eval(batch, alpha, beta) * g(batch))
+        assert abs(est.value - value) <= 1e-12 * abs(value)
+        assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+    def test_nonfinite_in_a_later_block_reports_its_point(self):
+        bad_row = polynomials._BLOCK_ROWS + 17
+        seen = []
+
+        def g(Z):
+            out = np.ones(len(Z), dtype=complex)
+            start = sum(seen)
+            seen.append(len(Z))
+            if start <= bad_row < start + len(Z):
+                out[bad_row - start] = np.inf
+            return out
+
+        with pytest.raises(EvaluationError) as err:
+            mc_moment(g, MI((0, 0)), MI((0, 0)), SphereSampler(2, 3), 3 * polynomials._BLOCK_ROWS)
+        point = SphereSampler(2, 3).sample_batch(bad_row + 1)[bad_row]
+        assert np.array_equal(err.value.point, point)
+
+    def test_memory_does_not_grow_with_samples(self):
+        s = SphereSampler(2, 4)
+        tracemalloc.start()
+        try:
+            mc_moment(lambda Z: Z[:, 0], MI((0, 1)), MI((0, 0)), s, 1_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_needs_two_samples(self, sampler2):
         with pytest.raises(ValueError):

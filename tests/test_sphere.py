@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,34 @@ class TestChunkPrefix:
         prefix = _chunk(5, 1, 0, 200)
         assert np.array_equal(prefix, _chunk(5, 1, 0)[:200])
         assert np.array_equal(SphereSampler(1, 5).sample_batch(200), prefix)
+
+
+    def test_zero_row_in_a_later_block(self, monkeypatch):
+        # the 200 rows of the test above, drawn in two requests from one generator
+        monkeypatch.setattr(sphere, "_ZERO_NORM", 0.3)
+        s = SphereSampler(1, 5)
+        got = np.concatenate([s.sample_batch(60), s.sample_batch(140)])
+        assert np.array_equal(got, _chunk(5, 1, 0)[:200])
+
+    def test_moved_counter_restarts_the_chunk(self):
+        want = np.concatenate([_chunk(8, 3, 0), _chunk(8, 3, 1)])
+        s = SphereSampler(3, 8)
+        s.sample_batch(500)
+        for start, count in ((100, 50), (400, 10), (CHUNK_DRAWS + 7, 20), (3, 5)):
+            s.counter = start
+            assert np.array_equal(s.sample_batch(count), want[start:start + count])
+
+
+class TestStreamDigest:
+    def test_stream_bytes_are_pinned(self):
+        # any change to the stream's bits, down to the last one, changes the digest
+        h = hashlib.sha256()
+        for dim in (1, 2, 3, 4):
+            for seed in (0, 7, 2**63 + 5):
+                s = SphereSampler(dim, seed)
+                for count in (1, 2047, 2048, 30_000, CHUNK_DRAWS, 5):
+                    h.update(s.sample_batch(count).tobytes())
+        assert h.hexdigest() == "61cf3366c001e6d27c1c914d8b49791aac24bd880ab2778ec90d58ff58547523"
 
 
 class TestMonomialEval:
