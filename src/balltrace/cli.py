@@ -48,10 +48,14 @@ EXIT_IO = 4
 EXIT_INTERNAL = 5
 
 # Largest Monte-Carlo request accepted, in sample coordinates samples * n.
-# radial-scan holds its whole (samples, n) batch at 16 bytes a coordinate
-# (320 MB at the budget); verify's estimators stream, but take time in
-# proportion.
-SAMPLE_BUDGET = 20_000_000
+# radial-scan holds its whole batch and every radius's series values: at the
+# budget it peaked 480, 340 and 260 MB above the interpreter in n = 1, 2, 4
+# on degree-3 data (1.3 s at most; 2-core x86 VM), about 170-250 bytes a
+# coordinate, and 330 on degree-8 data in n = 2.  verify's estimators stream
+# in constant memory; at the budget it took 0.9 s (n = 2) and 1.9 s (n = 20,
+# the default 10^5 samples, so every verify --n the scan budget lets through
+# at the default still runs).
+SAMPLE_BUDGET = 2_000_000
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ ties going to the first pair in graded-lex order, and Fractions are built
 only for the pairs that get a report, through check_condition on f.  W is
 cached for one scan.  A scan first estimates its work and refuses to start
 above WORK_BUDGET: C(N + n, n) * (lines of r) candidate pairs plus K table
-rows, each counted once per started SIZE_UNIT_BITS bits of M, the largest
+rows, each counted once more per whole SIZE_UNIT_BITS bits of M, the largest
 integer of the tables (its bit count comes from lgamma, so nothing is
 built for the estimate).
 """
@@ -82,14 +82,21 @@ logger = logging.getLogger(__name__)
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 64
 
-# Largest condition scan accepted, in candidate pairs C(order + n, n) * lines
-# plus table rows, while the scan's integers stay below SIZE_UNIT_BITS bits.
-# At the budget a one-term input (n = 3, order 111) scans in about 1.6 s and
-# 64 MB on a 2-core x86 VM; a 20-line input at n = 4, order 6 estimates 4200.
+# Largest condition scan accepted, in units of one candidate pair on small
+# integers: C(order + n, n) * (lines of r) pairs plus K table rows, each
+# counted once more per whole SIZE_UNIT_BITS bits of the scan's integers.
+# Measured at the budget on a 2-core x86 VM (CPython 3.11): sweep on
+# conj(zeta_1) in n = 1, 2, 3, 4 (orders 4806, 497, 112, 47) takes 2.2, 3.8,
+# 5.4 and 5.2 s and 98, 182, 172 and 133 MB above the interpreter, check on
+# conj(zeta_1)^2776 in n = 1 0.08 s and 44 MB; a 20-line input at n = 4,
+# order 6 estimates 4200.
 WORK_BUDGET = 250_000
-# Integers past this many bits count once more per started unit: their
-# products cost time, and the K factorials of the tables hold K * bits / 2 bits.
-SIZE_UNIT_BITS = 1024
+# A scanned pair holds about 400 bytes of Python objects plus 1.5 to 2
+# integers of the scan's size (peak RSS of scans in n = 1..3), so its
+# integers weigh one more small pair per 1600 to 2100 bits.  2048 is the
+# power of two in that range; at 4096 the n = 2 sweep at the budget reached
+# 225 MB.
+SIZE_UNIT_BITS = 2048
 
 
 @dataclass(frozen=True)

@@ -44,17 +44,10 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError, SchemaError
 from .exact import ComplexFraction, ZERO, complex_from_strings, complex_to_strings
 from .multiindex import MultiIndex, monomial_norm_sq
-from .sphere import SphereSampler, SpherePoint, monomial_eval
+from .sphere import SphereSampler, SpherePoint, fold_mean_and_stderr, monomial_eval
 
 TermKey = tuple[MultiIndex, MultiIndex]
 Line = tuple[int, ...]
-
-# Points per Monte-Carlo block.  A block's arrays stay in cache, and they are
-# small enough that malloc reuses their memory from block to block: with
-# 8192-point blocks it returned the memory to the system and faulted fresh
-# pages each block (about 5000 minor faults per 10^5 points, a quarter of
-# the time in n = 2..4).
-_BLOCK_ROWS = 2048
 
 
 def monomial_integral(w: MultiIndex, v: MultiIndex) -> Fraction:
@@ -277,7 +270,9 @@ class SpherePolynomial:
         """Sum of the terms on the points of the power tables of z and conj(z)."""
         acc = np.zeros(zp.z.shape[:-1], dtype=np.complex128)
         for (mu, nu), coeff in self._terms.items():
-            acc = acc + complex(coeff) * zp.monomial(mu) * zc.monomial(nu)
+            # the ufunc call keeps the coefficient first at every batch length
+            # (monomial_eval says why the operator would not)
+            acc = acc + np.multiply(complex(coeff), zp.monomial(mu)) * zc.monomial(nu)
         return acc
 
     def to_json_dict(self) -> dict:
@@ -512,23 +507,12 @@ def _weighted_mean(
 
     The one Monte-Carlo estimator body: moments weigh by a monomial, kernel
     transforms by a kernel.  Weights are computed before the integrand.  The
-    points stream in blocks of _BLOCK_ROWS rows, so memory is one block
-    whatever n_samples is; each block's mean and sum of squared deviations
-    fold into running ones by Chan's pairwise update, and the standard error
-    is that of mean_and_stderr on the whole batch.
+    points stream in the sampler's blocks (sample_blocks), folded one at a
+    time (fold_mean_and_stderr), so memory is one block whatever n_samples
+    is, and the estimate equals mean_and_stderr on the whole batch.
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    mean, m2, done = 0j, 0.0, 0
-    while done < n_samples:
-        batch = sampler.sample_batch(min(_BLOCK_ROWS, n_samples - done))
-        vals = weight(batch) * _eval_black_box(g, batch)
-        rows = vals.shape[0]
-        block_mean = complex(np.mean(vals))
-        dev = vals - block_mean
-        delta = block_mean - mean
-        done += rows
-        mean += delta * (rows / done)
-        m2 += float(np.vdot(dev, dev).real) + abs(delta) ** 2 * (rows * (done - rows) / done)
-    stderr = math.sqrt(m2 / (n_samples - 1) / n_samples)
+    blocks = (weight(batch) * _eval_black_box(g, batch) for batch in sampler.sample_blocks(n_samples))
+    mean, stderr = fold_mean_and_stderr(blocks)
     return MCEstimate(value=mean, stderr=stderr, samples=n_samples, seed=sampler.seed)

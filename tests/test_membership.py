@@ -312,6 +312,12 @@ class TestWorkBudget:
         g = random_holomorphic_poly(np.random.default_rng(21), 21, 3).restrict_to_sphere()
         assert sweep(g, g.max_degree() + 2) == []
 
+    def test_integers_of_a_few_thousand_bits_pass(self):
+        # conj(zeta_1)^2000 in n = 1: order 2001, K = 4001, integers of about
+        # 42000 bits, estimate 6003 * 21 = 126063 units; about 0.05 s
+        cert = is_boundary_trace(mono(1, (0,), (2000,)))
+        assert not cert.member and cert.violation_order == 2001
+
     @pytest.mark.parametrize(
         "run",
         [

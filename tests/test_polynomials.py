@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from balltrace.errors import DimensionMismatchError, EvaluationError, SchemaError
 from balltrace.exact import ComplexFraction
 from balltrace.multiindex import MultiIndex, graded_indices
-from balltrace import polynomials
+from balltrace import sphere
 from balltrace.polynomials import (
     HolomorphicPolynomial,
     SpherePolynomial,
@@ -200,7 +200,7 @@ class TestMCMoment:
 
     @pytest.mark.parametrize(
         "n_samples",
-        [2, polynomials._BLOCK_ROWS - 1, polynomials._BLOCK_ROWS, polynomials._BLOCK_ROWS + 1, CHUNK_DRAWS + 3],
+        [2, sphere._BLOCK_ROWS - 1, sphere._BLOCK_ROWS, sphere._BLOCK_ROWS + 1, CHUNK_DRAWS + 3],
     )
     def test_streamed_blocks_match_the_whole_batch(self, n_samples):
         alpha, beta = MI((1, 0)), MI((1, 1))
@@ -216,7 +216,7 @@ class TestMCMoment:
         assert abs(est.stderr - stderr) <= 1e-12 * stderr
 
     def test_nonfinite_in_a_later_block_reports_its_point(self):
-        bad_row = polynomials._BLOCK_ROWS + 17
+        bad_row = sphere._BLOCK_ROWS + 17
         seen = []
 
         def g(Z):
@@ -228,7 +228,7 @@ class TestMCMoment:
             return out
 
         with pytest.raises(EvaluationError) as err:
-            mc_moment(g, MI((0, 0)), MI((0, 0)), SphereSampler(2, 3), 3 * polynomials._BLOCK_ROWS)
+            mc_moment(g, MI((0, 0)), MI((0, 0)), SphereSampler(2, 3), 3 * sphere._BLOCK_ROWS)
         point = SphereSampler(2, 3).sample_batch(bad_row + 1)[bad_row]
         assert np.array_equal(err.value.point, point)
 

@@ -8,7 +8,9 @@ from balltrace.errors import ConvergenceError, DomainError
 from balltrace.exact import ComplexFraction
 from balltrace.multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from balltrace.polynomials import HolomorphicPolynomial, SpherePolynomial, moment
-from balltrace.sphere import SphereSampler
+from balltrace.kernels import cauchy_kernel, poisson_kernel
+from balltrace.polynomials import mc_moment
+from balltrace.sphere import SphereSampler, mean_and_stderr, monomial_eval
 from balltrace.transforms import (
     cauchy_transform_mc,
     cauchy_transform_poly,
@@ -137,6 +139,32 @@ class TestMCTransforms:
         f = mono(2, (1, 0), (0, 1))
         est = poisson_transform_mc(lambda Z: f.eval(Z), np.zeros(2), s1, 1000)
         assert est.value == pytest.approx(complex(np.mean(f.eval(s2.sample_batch(1000)))))
+
+    @pytest.mark.parametrize("estimator", ["moment", "poisson", "cauchy"])
+    def test_streamed_estimate_has_the_whole_batch_bits(self, estimator):
+        # past 16384 rows numpy may reuse a temporary operand as the output;
+        # the library's batch evaluators must give the same bits either way
+        n, samples, seed = 3, 40_000, 12
+        f = (
+            mono(n, (1, 1, 0), (0, 0, 2), ComplexFraction(Fraction(2, 3), Fraction(-1, 5)))
+            + mono(n, (0, 2, 1), (1, 0, 0), ComplexFraction(Fraction(-3, 7), Fraction(1, 2)))
+            + mono(n, (1, 0, 0), (0, 1, 1))
+        )
+        z = np.array([0.3 + 0.1j, -0.2j, 0.25])
+        alpha, beta = MI((1, 0, 1)), MI((0, 2, 0))
+        batch = SphereSampler(n, seed).sample_batch(samples)
+        if estimator == "moment":
+            est = mc_moment(f.eval, alpha, beta, SphereSampler(n, seed), samples)
+            weights = monomial_eval(batch, alpha, beta)
+        else:
+            kernel, transform = {
+                "poisson": (poisson_kernel, poisson_transform_mc),
+                "cauchy": (cauchy_kernel, cauchy_transform_mc),
+            }[estimator]
+            est = transform(f.eval, z, SphereSampler(n, seed), samples)
+            weights = kernel(z, batch)
+        vals = f.eval(batch)
+        assert (est.value, est.stderr) == mean_and_stderr(weights * vals)
 
     def test_point_outside_ball_rejected(self):
         with pytest.raises(DomainError):
