@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, SingularityError
+from .errors import DimensionMismatchError, DivergenceError, DomainError, SingularityError
 from .sphere import SpherePoint
 
 SINGULARITY_GUARD = 1e-14
@@ -51,7 +51,7 @@ def _pair_inner(z: np.ndarray, w: np.ndarray):
     if z.ndim != 1:
         raise ValueError("first argument must be a single point")
     if z.shape[0] != w.shape[-1]:
-        raise DomainError(f"point dimensions differ: {z.shape[0]} vs {w.shape[-1]}")
+        raise DimensionMismatchError(f"point dimensions differ: {z.shape[0]} vs {w.shape[-1]}")
     return np.conj(w) @ z if w.ndim == 2 else complex(np.sum(z * np.conj(w)))
 
 

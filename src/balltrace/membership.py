@@ -192,7 +192,6 @@ def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
     r = f - cauchy_transform_poly(f)
     if r.is_zero():
         return []
-    _check_budget(r, max_order)
     return [check_condition(f, alpha, beta) for alpha, beta, *_ in _scan(r, max_order)]
 
 
@@ -217,7 +216,10 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
 
     The exact gap |lhs - rhs|^2 of the pair is (s_re^2 + s_im^2) / (D den)^2
     with D common to all pairs (module docstring); every listed s is nonzero.
+    Raises PreconditionError, before any work, when the scan's estimate
+    exceeds WORK_BUDGET.
     """
+    _check_budget(r, order)
     n = r.dim
     lines = r.lines()
     k = order + r.max_degree()
@@ -326,9 +328,9 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     non-member, the sweep runs at sweep_order (default: the polynomial's
     maximum degree plus one, where a violation is guaranteed; see the module
     docstring) and escalates by ESCALATION_STEP until some violated condition
-    appears.  After MAX_ESCALATIONS steps below that order it jumps straight
-    to it, so the search always ends; the certificate records the order where
-    it stopped.  Each step is one integer scan of r (module docstring): the
+    appears.  After MAX_ESCALATIONS steps without one it scans at that order,
+    so the search always ends; the certificate records the order where it
+    stopped.  Each step is one integer scan of r (module docstring): the
     worst violation is picked by integer cross-multiplication and only it
     gets exact Fractions, through check_condition.  A step whose scan
     estimate exceeds WORK_BUDGET raises PreconditionError.
@@ -342,23 +344,19 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
         )
     bound = f.max_degree() + 1
     order = sweep_order if sweep_order is not None else bound
-    steps = 0
-    while True:
-        _check_budget(r, order)
+    for _ in range(MAX_ESCALATIONS):
         violations = _scan(r, order)
         if violations:
-            logger.info("violation found at sweep order %d", order)
-            return MembershipCertificate(
-                member=False,
-                residual_sq=residual_sq,
-                witness_extension=None,
-                violation=check_condition(f, *_worst_pair(violations)),
-                violation_order=order,
-            )
-        if order >= bound:
-            raise RuntimeError(
-                f"no violated condition found at order {order} despite residual "
-                f"{residual_sq} > 0; this contradicts the moment characterization"
-            )
-        steps += 1
-        order = order + ESCALATION_STEP if steps < MAX_ESCALATIONS else bound
+            break
+        order += ESCALATION_STEP
+    else:
+        order = bound
+        violations = _scan(r, order)
+    logger.info("violation found at sweep order %d", order)
+    return MembershipCertificate(
+        member=False,
+        residual_sq=residual_sq,
+        witness_extension=None,
+        violation=check_condition(f, *_worst_pair(violations)),
+        violation_order=order,
+    )

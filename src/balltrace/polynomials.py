@@ -41,7 +41,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EvaluationError, SchemaError
+from .errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from .exact import ComplexFraction, ZERO, complex_from_strings, complex_to_strings
 from .multiindex import MultiIndex, monomial_norm_sq
 from .sphere import SphereSampler, SpherePoint, fold_mean_and_stderr, monomial_eval
@@ -460,19 +460,18 @@ class MCEstimate:
 
 
 def _eval_black_box(g: Callable, batch: np.ndarray) -> np.ndarray:
-    """Evaluate a black-box sphere function on an (N, n) batch.
+    """Evaluate an integrand g on an (N, n) batch: g maps the batch to N values.
 
-    The callable is tried on the whole batch first (the fast, preferred
-    contract); if it returns a scalar or fails, it is applied row by row.
-    Non-finite outputs raise EvaluationError carrying the offending point.
+    Any other result shape raises PreconditionError.  Shape cannot tell a
+    per-point callable from a batch one when N == n, so such a callable is
+    misread there rather than refused.  Non-finite outputs raise
+    EvaluationError carrying the offending point.
     """
-    try:
-        vals = np.asarray(g(batch), dtype=np.complex128)
-        if vals.shape != (batch.shape[0],):
-            raise TypeError
-    except (TypeError, ValueError, IndexError):
-        vals = np.fromiter(
-            (complex(g(row)) for row in batch), dtype=np.complex128, count=batch.shape[0]
+    vals = np.asarray(g(batch), dtype=np.complex128)
+    if vals.shape != (batch.shape[0],):
+        raise PreconditionError(
+            f"an integrand maps an (N, n) batch to N values; on a batch of "
+            f"{batch.shape[0]} points it returned shape {vals.shape}"
         )
     if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
         i = int(np.argmin(np.isfinite(vals.real) & np.isfinite(vals.imag)))
@@ -492,8 +491,9 @@ def mc_moment(
     """Monte-Carlo estimate of the moment integral for a black-box integrand.
 
     Draws n_samples uniform points and averages zeta^alpha conj(zeta)^beta
-    g(zeta).  The estimator is unbiased; the stochastic oracle against which
-    every exact moment is cross-checked.
+    g(zeta).  g maps an (N, n) batch of points to N values; any other result
+    shape raises PreconditionError.  The estimator is unbiased; the
+    stochastic oracle against which every exact moment is cross-checked.
     """
     if alpha.dim != sampler.dim or beta.dim != sampler.dim:
         raise DimensionMismatchError("index dimension does not match sampler dimension")

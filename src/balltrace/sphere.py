@@ -11,15 +11,15 @@ of fixed-size chunks (CHUNK_DRAWS points each); chunk k is generated by a
 Philox counter-based generator keyed with the 128-bit key (seed, k).  The
 stream therefore depends only on (seed, dimension), never on how callers
 slice their batch requests, and disjoint chunks can be generated in
-parallel and merged in chunk order.  A sampler draws each chunk's Philox
-stream once, in order: it keeps the generator of its current chunk and
-draws each next request from it.  Philox fills the draws row by row, so
-successive draws equal one whole draw, and a request generates only the
-rows it reaches.  Estimators stream the sampler in fixed blocks of rows
-(sample_blocks) and fold each block into a running mean and sum of squared
-deviations (fold_mean_and_stderr), so their memory is one block whatever
-the sample count; mean_and_stderr folds a whole batch in the same blocks,
-so it gives the streamed estimate's bits.
+parallel and merged in chunk order.  A sampler only draws forward: its
+counter is read-only, it starts a chunk's Philox generator when the
+counter enters the chunk, and every later request continues it.  Philox
+fills the draws row by row, so successive draws equal one whole draw, and
+a request generates only the rows it reaches.  Estimators stream the
+sampler in fixed blocks of rows (sample_blocks) and fold each block into a
+running mean and sum of squared deviations (fold_mean_and_stderr), so their
+memory is one block whatever the sample count; mean_and_stderr folds a
+whole batch in the same blocks, so it gives the streamed estimate's bits.
 """
 
 from __future__ import annotations
@@ -153,18 +153,13 @@ def _draw_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
 def _chunk(seed: int, dim: int, k: int, rows: int = CHUNK_DRAWS) -> np.ndarray:
     """Rows [0, rows) of chunk k of the (seed, dim) stream: (rows, dim) unit rows.
 
-    Philox fills the (rows, 2 dim) Gaussian draw row by row, so a prefix is
-    the same as the first rows of the whole chunk.  An exactly-zero Gaussian
-    row (probability 0) is redrawn from the stream past the whole chunk, so
-    a prefix that holds one is regenerated as the whole chunk.
+    Draws the whole chunk: an exactly-zero Gaussian row (probability 0) is
+    redrawn from the stream past the chunk's end.
     """
-    for size in (rows, CHUNK_DRAWS):
-        rng = _chunk_rng(seed, k)
-        z = np.empty((size, dim), dtype=np.complex128)
-        norms = _draw_rows(rng, z)
-        bad = norms < _ZERO_NORM
-        if size == CHUNK_DRAWS or not np.any(bad):
-            break
+    rng = _chunk_rng(seed, k)
+    z = np.empty((CHUNK_DRAWS, dim), dtype=np.complex128)
+    norms = _draw_rows(rng, z)
+    bad = norms < _ZERO_NORM
     while np.any(bad):
         y = np.empty((int(np.count_nonzero(bad)), dim), dtype=np.complex128)
         norms[bad] = _draw_rows(rng, y)
@@ -179,7 +174,7 @@ class SphereSampler:
     """Deterministic uniform sampler on the unit sphere of C^dim.
 
     Two samplers with equal (seed, dim) produce identical streams regardless
-    of batch sizes.  The draw counter tracks the stream position.
+    of batch sizes.  The read-only draw counter tracks the stream position.
     """
 
     def __init__(self, dim: int, seed: int):
@@ -187,44 +182,37 @@ class SphereSampler:
             raise ValueError("dimension must be >= 1")
         self.dim = int(dim)
         self.seed = int(seed)
-        self.counter = 0
-        self._rng_chunk = -1    # chunk of self._rng, which stands at row self._rng_row
-        self._rng_row = 0
-        self._rng = None
+        self._counter = 0
+        self._rng = None    # generator of the counter's chunk, standing at the counter
 
-    def _fill(self, k: int, off: int, out: np.ndarray) -> None:
-        """Write rows [off, off + len(out)) of chunk k into out, as unit rows.
-
-        Draws from the chunk's generator where the last request left it; a
-        request elsewhere (a moved counter) restarts the chunk and skips to
-        off.  A block holding a zero row takes its rows from _chunk, which
-        redraws that row past the chunk's end, where the generator never
-        reaches.
-        """
-        if k != self._rng_chunk or off < self._rng_row:
-            self._rng_chunk, self._rng_row, self._rng = k, 0, _chunk_rng(self.seed, k)
-        if off > self._rng_row:
-            self._rng.standard_normal((off - self._rng_row, 2 * self.dim))
-        rows = out.shape[0]
-        self._rng_row = off + rows
-        norms = _draw_rows(self._rng, out)
-        if np.any(norms < _ZERO_NORM):
-            out[...] = _chunk(self.seed, self.dim, k)[off:off + rows]
-        else:
-            out *= (1.0 / norms)[:, None]
+    @property
+    def counter(self) -> int:
+        """Draws taken so far: the stream position of the next draw."""
+        return self._counter
 
     def sample_batch(self, count: int) -> np.ndarray:
-        """Next `count` draws as an (count, dim) array of unit rows."""
+        """Next `count` draws as an (count, dim) array of unit rows.
+
+        A block holding a zero row takes its rows from _chunk, which redraws
+        that row past the chunk's end, where the generator never reaches.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
         out = np.empty((count, self.dim), dtype=np.complex128)
         done = 0
         while done < count:
-            k, off = divmod(self.counter + done, CHUNK_DRAWS)
+            k, off = divmod(self._counter, CHUNK_DRAWS)
+            if off == 0:
+                self._rng = _chunk_rng(self.seed, k)
             take = min(count - done, CHUNK_DRAWS - off)
-            self._fill(k, off, out[done:done + take])
+            block = out[done:done + take]
+            norms = _draw_rows(self._rng, block)
+            if np.any(norms < _ZERO_NORM):
+                block[...] = _chunk(self.seed, self.dim, k)[off:off + take]
+            else:
+                block *= (1.0 / norms)[:, None]
             done += take
-        self.counter += count
+            self._counter += take
         return out
 
     def sample_blocks(self, count: int):

@@ -90,7 +90,11 @@ def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
 def cauchy_transform_mc(
     g: Callable, z, sampler: SphereSampler, n_samples: int
 ) -> MCEstimate:
-    """Monte-Carlo Cauchy integral of a black-box boundary function at z in B."""
+    """Monte-Carlo Cauchy integral of a black-box boundary function at z in B.
+
+    g maps an (N, n) batch of points to N values; any other result shape
+    raises PreconditionError.
+    """
     return _kernel_transform_mc(cauchy_kernel, g, z, sampler, n_samples)
 
 
@@ -103,7 +107,9 @@ def poisson_transform_mc(
     (1 - |z|)^(-n) at zeta = z/|z|.  Near the sphere the weighted values are
     heavy-tailed and the standard error understates the error: for
     zeta_1 conj(zeta_2) in n = 3 at |z| = 0.99, estimates at 2e5 samples
-    miss the exact series value by up to 8 standard errors.
+    miss the exact series value by up to 8 standard errors.  g maps an
+    (N, n) batch of points to N values; any other result shape raises
+    PreconditionError.
     """
     return _kernel_transform_mc(poisson_kernel, g, z, sampler, n_samples)
 

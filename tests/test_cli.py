@@ -406,6 +406,21 @@ class TestRadialScanCommand:
         args = ("--radii", "0.3,0.5,0.7", "--seed", "5", "--samples", "2000")
         assert run(capsys, "radial-scan", "--input", str(path), *args) == (0, MIXED2_RADIAL, "")
 
+    def test_unparsable_radius_is_usage(self, capsys, coordinate_file):
+        code, out, err = run(capsys, "radial-scan", "--input", coordinate_file, "--radii", "a,b")
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_zero_data_has_zero_error(self, capsys, tmp_path):
+        # mean |f_r - f|^p is exactly 0, so the Lp estimate takes its m == 0 branch
+        path = tmp_path / "zero.json"
+        path.write_text('{"n": 2, "terms": []}')
+        args = ("--radii", "0.5", "--samples", "100")
+        assert run(capsys, "radial-scan", "--input", str(path), *args) == (
+            0, "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n0.5,2,0,0,0,100,0\n", ""
+        )
+
     def test_output_file(self, capsys, coordinate_file, tmp_path):
         dest = tmp_path / "scan.csv"
         code, out, _ = run(

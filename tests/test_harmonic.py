@@ -15,10 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balltrace.exact import ComplexFraction
-from balltrace.polynomials import SpherePolynomial, l2_distance_sq, laplacian
+from balltrace.polynomials import SpherePolynomial, l2_distance_sq, l2_norm_sq, laplacian
 from balltrace.sphere import SphereSampler
 from balltrace.transforms import (
     MAX_SERIES_ORDER,
+    cauchy_transform_poly,
     choose_poisson_order,
     poisson_series_eval,
     poisson_series_tail,
@@ -56,6 +57,21 @@ class TestDecomposition:
         for h in f.harmonics().values():
             total = total + h
         assert l2_distance_sq(total, f) == 0
+
+    @given(polys())
+    @settings(max_examples=80, deadline=None)
+    def test_split_is_a_second_route_to_the_szego_projection(self, f):
+        # C[f] is the sum of the holomorphic components h_{p,0}, and the
+        # residual's norm is the mass of the components with q >= 1
+        parts = f.harmonics()
+        holomorphic = SpherePolynomial.zero(f.dim)
+        for (p, q), h in parts.items():
+            if q == 0:
+                holomorphic = holomorphic + h
+        projection = cauchy_transform_poly(f)
+        assert l2_distance_sq(holomorphic, projection) == 0
+        rest = sum(l2_norm_sq(h) for (p, q), h in parts.items() if q >= 1)
+        assert rest == l2_norm_sq(f - projection)
 
     def test_harmonic_data_is_its_own_component(self):
         f = mixed_coordinate(3).scale(ComplexFraction(2, -1))

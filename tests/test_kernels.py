@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from balltrace.errors import DivergenceError, DomainError, SingularityError
+from balltrace.errors import DimensionMismatchError, DivergenceError, DomainError, SingularityError
 from balltrace.kernels import (
     KernelTruncation,
     cauchy_kernel,
@@ -66,6 +66,16 @@ class TestCauchyKernel:
         vals = cauchy_kernel(z, batch)
         for i in range(8):
             assert vals[i] == pytest.approx(cauchy_kernel(z, batch[i]))
+
+
+class TestDimensionMismatch:
+    @pytest.mark.parametrize("kernel", [cauchy_kernel, poisson_kernel])
+    def test_point_and_batch(self, kernel):
+        w = np.array([0.6, 0.0, 0.8], dtype=complex)
+        with pytest.raises(DimensionMismatchError):
+            kernel(np.zeros(2), w)
+        with pytest.raises(DimensionMismatchError):
+            kernel(np.zeros(2), np.stack([w, w]))
 
 
 class TestPoissonKernel:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from balltrace.errors import DimensionMismatchError, EvaluationError, SchemaError
+from balltrace.errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from balltrace.exact import ComplexFraction
 from balltrace.multiindex import MultiIndex, graded_indices
 from balltrace import sphere
@@ -245,6 +245,16 @@ class TestMCMoment:
     def test_needs_two_samples(self, sampler2):
         with pytest.raises(ValueError):
             mc_moment(lambda Z: np.ones(len(Z)), MI((0, 0)), MI((0, 0)), sampler2, 1)
+
+    @pytest.mark.parametrize(
+        "g, shape",
+        # z[0] of a batch is its first row, so a per-point |zeta_1|^2 returns n values
+        [(lambda z: z[0] * np.conj(z[0]), r"\(2,\)"), (lambda z: 1.0, r"\(\)")],
+        ids=["per_point", "scalar"],
+    )
+    def test_non_batch_integrand_is_refused(self, g, shape):
+        with pytest.raises(PreconditionError, match=r"batch of 2048 points .* shape " + shape):
+            mc_moment(g, MI((0, 0)), MI((0, 0)), SphereSampler(2, 0), sphere._BLOCK_ROWS + 2)
 
 
 class TestSerialization:
