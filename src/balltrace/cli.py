@@ -34,7 +34,7 @@ from .errors import (
     SchemaError,
     UsageError,
 )
-from .exact import complex_to_strings, format_rational, to_complex
+from .exact import complex_to_float_strings, complex_to_strings, format_float, format_rational, to_complex
 from .generators import random_holomorphic_poly, random_nonmember_poly
 from .kernels import cauchy_kernel, cauchy_series, poisson_kernel
 from .membership import WORK_BUDGET, is_boundary_trace, sweep, szego_residual
@@ -84,10 +84,6 @@ class RunConfig:
             raise DomainError(f"radii must lie in [0, 1), got {list(self.radii)}")
         if not (math.isfinite(self.p) and self.p >= 1):
             raise DomainError(f"exponent must be finite with p >= 1, got {self.p}")
-
-
-def _f17(x: float) -> str:
-    return f"{float(x):.17g}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,7 +157,7 @@ def _cmd_constants(config: RunConfig) -> int:
         {
             "omega": list(idx),
             "value": format_rational(monomial_norm_sq(idx)),
-            "value_float": _f17(float(monomial_norm_sq(idx))),
+            "value_float": format_float(monomial_norm_sq(idx)),
         }
         for idx in graded_indices(config.n, config.order)
     ]
@@ -182,13 +178,12 @@ def _cmd_constants(config: RunConfig) -> int:
 def _cmd_moment(config: RunConfig) -> int:
     f = _load_polynomial(config.input_path)
     value = moment(f, config.alpha, config.beta)
-    as_float = to_complex(value)
     _emit_json(
         {
             "alpha": list(config.alpha),
             "beta": list(config.beta),
             "moment": complex_to_strings(value),
-            "moment_float": {"re": _f17(as_float.real), "im": _f17(as_float.imag)},
+            "moment_float": complex_to_float_strings(value),
         },
         config.output,
     )
@@ -309,7 +304,8 @@ def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:
 
     g = random_holomorphic_poly(rng, n, 2)
     witness = cauchy_transform_poly(g)
-    z = _random_ball_point(rng, n, 0.5)
+    # |z| <= min(1/2, 1/n) keeps the kernel's peak ((1+|z|)/(1-|z|))^n at most 9
+    z = _random_ball_point(rng, n, min(0.5, 1 / n))
     est = poisson_transform_mc(lambda Z: g.eval(Z), z, SphereSampler(n, seed + 1), samples)
     target = witness.eval(z)
     agree = abs(est.value - target) <= 4 * est.stderr + 1e-12

@@ -207,8 +207,19 @@ def parse_rational(text: str) -> Fraction:
         raise SchemaError(f"invalid rational literal {text!r}: {exc}") from exc
 
 
+def format_float(x: float) -> str:
+    """Render as a float with 17 significant digits: the byte-stable form of every float output."""
+    return f"{float(x):.17g}"
+
+
 def complex_to_strings(z: ComplexFraction) -> dict:
     return {"re": format_rational(z.re), "im": format_rational(z.im)}
+
+
+def complex_to_float_strings(z: ScalarLike) -> dict:
+    """Nearest-float rendering of z as {"re": ..., "im": ...} through format_float."""
+    c = to_complex(z)
+    return {"re": format_float(c.real), "im": format_float(c.imag)}
 
 
 def complex_from_strings(doc: dict) -> ComplexFraction:

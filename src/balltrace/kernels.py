@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceError, DomainError, SingularityError
-from .sphere import SpherePoint
+from .sphere import _coords, herm_inner
 
 SINGULARITY_GUARD = 1e-14
 
@@ -40,19 +40,13 @@ class KernelTruncation:
     tail_bound: float
 
 
-def _coerce(z) -> np.ndarray:
-    if isinstance(z, SpherePoint):
-        return z.coords
-    return np.asarray(z, dtype=np.complex128)
-
-
 def _pair_inner(z: np.ndarray, w: np.ndarray):
     """<z, w_i> for a single z against a point or an (N, n) batch of w."""
     if z.ndim != 1:
         raise ValueError("first argument must be a single point")
     if z.shape[0] != w.shape[-1]:
         raise DimensionMismatchError(f"point dimensions differ: {z.shape[0]} vs {w.shape[-1]}")
-    return np.conj(w) @ z if w.ndim == 2 else complex(np.sum(z * np.conj(w)))
+    return np.conj(w) @ z if w.ndim == 2 else herm_inner(z, w)
 
 
 def cauchy_kernel(z, w):
@@ -61,7 +55,7 @@ def cauchy_kernel(z, w):
     Raises SingularityError when any pair comes within SINGULARITY_GUARD of
     the singular set <z, w> = 1 (float blowup must be an error, not an Inf).
     """
-    zv, wv = _coerce(z), _coerce(w)
+    zv, wv = _coords(z), _coords(w)
     n = zv.shape[0]
     denom = 1.0 - _pair_inner(zv, wv)
     if np.min(np.abs(denom)) <= SINGULARITY_GUARD:
@@ -75,12 +69,12 @@ def poisson_kernel(z, zeta):
     z must lie inside the open ball; zeta may be a point or an (N, n) batch
     of sphere points.
     """
-    zv = _coerce(z)
+    zv = _coords(z)
     n = zv.shape[0]
     norm_sq = float(np.sum(np.abs(zv) ** 2))
     if norm_sq >= 1.0:
         raise DomainError(f"poisson kernel requires |z| < 1, got |z|^2 = {norm_sq}")
-    sv = _coerce(zeta)
+    sv = _coords(zeta)
     denom = np.abs(1.0 - _pair_inner(zv, sv)) ** (2 * n)
     return (1.0 - norm_sq) ** n / denom
 
@@ -143,7 +137,7 @@ def cauchy_series(z, w, order: int) -> tuple[complex, KernelTruncation]:
     Returns (sum_{j <= order} binom(j+n-1, n-1) <z, w>^j, truncation record);
     requires |z||w| < 1 so the full series converges absolutely.
     """
-    zv, wv = _coerce(z), _coerce(w)
+    zv, wv = _coords(z), _coords(w)
     if wv.ndim != 1:
         raise ValueError("cauchy_series takes single points")
     if order < 0:

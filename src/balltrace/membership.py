@@ -33,9 +33,10 @@ beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
 |indices|^2.  It tests them in integers.  At sweep order N let
 K = N + r.max_degree() and
   D = lcm of the denominators of r's coefficient parts,
-  W(w) = w! (n-1+K)! / (n-1+|w|)!   (an integer for |w| <= K),
   M = (n-1+K)! / (n-1)!,
-so that norm_sq(w) = W(w) / M.  Every index met has |w| <= K, and on line
+  W(w) = M / multinomial(w) = w! (n-1+K)! / (n-1+|w|)!   (an integer for |w| <= K),
+where multinomial(w) = (n-1+|w|)! / ((n-1)! w!) = 1 / norm_sq(w), so that
+norm_sq(w) = W(w) / M.  Every index met has |w| <= K, and on line
 d = beta - alpha
   S(alpha, d) = sum over the line's terms t of (D c_t) W(alpha + mu_t)
 is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M).
@@ -44,16 +45,15 @@ for A and |S| / (D W(beta)) for B: ratios of integers with the common
 factor D, so the worst violation is found by cross-multiplying integers,
 ties going to the first pair in graded-lex order, and Fractions are built
 only for the pairs that get a report, through check_condition on f.  W is
-cached for one scan.  A scan first estimates its work and refuses to start
-above WORK_BUDGET: C(N + n, n) * (lines of r) candidate pairs plus K table
-rows, each counted once more per whole SIZE_UNIT_BITS bits of M, the largest
-integer of the tables (its bit count comes from lgamma, so nothing is
-built for the estimate).
+cached for one scan; no factorial table is built.  A scan first estimates its
+work and refuses to start above WORK_BUDGET: C(N + n, n) * (lines of r)
+candidate pairs, each counted once more per whole SIZE_UNIT_BITS bits of M,
+the largest weight of the scan (its bit count comes from lgamma, so nothing
+is built for the estimate).
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -64,11 +64,12 @@ from .exact import (
     ComplexFraction,
     ZERO,
     complex_from_strings,
+    complex_to_float_strings,
     complex_to_strings,
+    format_float,
     format_rational,
-    to_complex,
 )
-from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from .multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
 from .polynomials import (
     HolomorphicPolynomial,
     SpherePolynomial,
@@ -77,25 +78,22 @@ from .polynomials import (
 )
 from .transforms import cauchy_transform_poly
 
-logger = logging.getLogger(__name__)
-
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 64
 
 # Largest condition scan accepted, in units of one candidate pair on small
-# integers: C(order + n, n) * (lines of r) pairs plus K table rows, each
-# counted once more per whole SIZE_UNIT_BITS bits of the scan's integers.
-# Measured at the budget on a 2-core x86 VM (CPython 3.11): sweep on
-# conj(zeta_1) in n = 1, 2, 3, 4 (orders 4806, 497, 112, 47) takes 2.2, 3.8,
-# 5.4 and 5.2 s and 98, 182, 172 and 133 MB above the interpreter, check on
-# conj(zeta_1)^2776 in n = 1 0.08 s and 44 MB; a 20-line input at n = 4,
-# order 6 estimates 4200.
+# integers: C(order + n, n) * (lines of r) pairs, each counted once more per
+# whole SIZE_UNIT_BITS bits of the scan's integers.  Measured at the budget on
+# a 2-core x86 VM (CPython 3.11): sweep on conj(zeta_1) in n = 1, 2, 3, 4
+# (orders 6720, 498, 112, 47) takes 0.3, 3.6, 4.9 and 5.1 s and 132, 179, 169
+# and 133 MB above the interpreter, check on conj(zeta_1)^4627 in n = 1
+# 0.03 s and under 1 MB; a 20-line input at n = 4, order 6 estimates 4200.
 WORK_BUDGET = 250_000
 # A scanned pair holds about 400 bytes of Python objects plus 1.5 to 2
 # integers of the scan's size (peak RSS of scans in n = 1..3), so its
 # integers weigh one more small pair per 1600 to 2100 bits.  2048 is the
-# power of two in that range; at 4096 the n = 2 sweep at the budget reached
-# 225 MB.
+# power of two in that range; at 4096 the n = 1 and n = 2 sweeps at the
+# budget reached 260 and 222 MB.
 SIZE_UNIT_BITS = 2048
 
 
@@ -122,8 +120,8 @@ class ConditionReport:
             "beta": list(self.beta),
             "lhs": complex_to_strings(self.lhs),
             "rhs": complex_to_strings(self.rhs),
-            "lhs_float": _float_pair(self.lhs),
-            "rhs_float": _float_pair(self.rhs),
+            "lhs_float": complex_to_float_strings(self.lhs),
+            "rhs_float": complex_to_float_strings(self.rhs),
             "satisfied": self.satisfied,
         }
 
@@ -137,12 +135,6 @@ class ConditionReport:
             rhs=complex_from_strings(doc["rhs"]),
             satisfied=bool(doc["satisfied"]),
         )
-
-
-def _float_pair(z: ComplexFraction) -> dict:
-    # float renderings in reports are fixed-width strings for byte stability
-    c = to_complex(z)
-    return {"re": f"{c.real:.17g}", "im": f"{c.imag:.17g}"}
 
 
 def check_condition_a(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ConditionReport:
@@ -201,7 +193,7 @@ def _check_budget(r: SpherePolynomial, order: int) -> None:
     pairs = math.comb(order + n, n) * lines
     k = order + r.max_degree()
     bits = (math.lgamma(n + k) - math.lgamma(n)) / math.log(2)  # of M = (n-1+K)!/(n-1)!
-    estimate = (pairs + k) * (1 + int(bits) // SIZE_UNIT_BITS)
+    estimate = pairs * (1 + int(bits) // SIZE_UNIT_BITS)
     if estimate > WORK_BUDGET:
         raise PreconditionError(
             f"a condition scan at order {order} in dimension {n} would form about "
@@ -223,19 +215,14 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
     n = r.dim
     lines = r.lines()
     k = order + r.max_degree()
-    fact = [1]
-    for j in range(1, n + k):
-        fact.append(fact[-1] * j)
-    scale = [1] * (k + 1)  # scale[j] = (n-1+K)! / (n-1+j)!
-    for j in range(k, 0, -1):
-        scale[j - 1] = scale[j] * (n - 1 + j)
+    full = math.perm(n - 1 + k, k)  # M = (n-1+K)!/(n-1)!
     weights: dict[tuple[int, ...], int] = {}
 
     def weight(omega: tuple[int, ...]) -> int:
-        # W(omega) = omega! (n-1+K)! / (n-1+|omega|)!, an integer for |omega| <= K
+        # W(omega) = M / multinomial(omega), an integer for |omega| <= K
         w = weights.get(omega)
         if w is None:
-            w = weights[omega] = math.prod([fact[c] for c in omega]) * scale[sum(omega)]
+            w = weights[omega] = full // _multinomial(omega)
         return w
 
     denom = math.lcm(
@@ -252,7 +239,6 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
         plan.append((d, terms, min(d) < 0))
     indices = graded_indices(n, order)
     lookup = {idx: idx for idx in indices}
-    full = scale[0]  # M = (n-1+K)!/(n-1)!
     out = []
     for alpha in indices:
         for d, terms, kind_a in plan:
@@ -310,7 +296,7 @@ class MembershipCertificate:
         doc = {
             "member": self.member,
             "residual_sq": format_rational(self.residual_sq),
-            "residual_sq_float": f"{float(self.residual_sq):.17g}",
+            "residual_sq_float": format_float(self.residual_sq),
         }
         if self.witness_extension is not None:
             doc["witness_extension"] = self.witness_extension.to_json_dict()
@@ -352,7 +338,6 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     else:
         order = bound
         violations = _scan(r, order)
-    logger.info("violation found at sweep order %d", order)
     return MembershipCertificate(
         member=False,
         residual_sq=residual_sq,

@@ -132,18 +132,22 @@ def graded_indices(dim: int, max_degree: int) -> list[MultiIndex]:
     return out
 
 
+def _multinomial(idx: tuple[int, ...]) -> int:
+    """(n-1+|idx|)! / ((n-1)! idx!) as the product of binomials prod_k C(n-1 + idx_1 + ... + idx_k, idx_k)."""
+    top, out = len(idx) - 1, 1
+    for c in idx:
+        top += c
+        out *= math.comb(top, c)
+    return out
+
+
 def monomial_norm_sq(idx: tuple[int, ...]) -> Fraction:
     """Exact squared L2 norm of zeta^idx on the unit sphere: (n-1)! idx! / (n-1+|idx|)!.
 
     Equals 1 for the zero index (the measure is normalized) and for every
     index when n = 1 (|zeta|=1 on the circle makes all these monomials
-    unimodular).  Computed as the reciprocal of the multinomial coefficient
-    prod_k C(n-1 + idx_1 + ... + idx_k, idx_k), with no factorial quotient
-    to reduce.  Takes a MultiIndex or a plain tuple of nonnegative ints, so
-    hot loops need not build a MultiIndex per term.
+    unimodular).  Computed as 1 / _multinomial(idx), with no factorial
+    quotient to reduce.  Takes a MultiIndex or a plain tuple of nonnegative
+    ints, so hot loops need not build a MultiIndex per term.
     """
-    top, multinomial = len(idx) - 1, 1
-    for c in idx:
-        top += c
-        multinomial *= math.comb(top, c)
-    return Fraction(1, multinomial)
+    return Fraction(1, _multinomial(idx))

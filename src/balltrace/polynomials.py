@@ -44,7 +44,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from .exact import ComplexFraction, ZERO, complex_from_strings, complex_to_strings
 from .multiindex import MultiIndex, monomial_norm_sq
-from .sphere import SphereSampler, SpherePoint, fold_mean_and_stderr, monomial_eval
+from .sphere import SphereSampler, _coords, fold_mean_and_stderr, monomial_eval
 
 TermKey = tuple[MultiIndex, MultiIndex]
 Line = tuple[int, ...]
@@ -254,7 +254,7 @@ class SpherePolynomial:
 
     def eval(self, zeta) -> complex | np.ndarray:
         """Float evaluation at a SpherePoint / 1-D point / (N, n) batch."""
-        z = zeta.coords if isinstance(zeta, SpherePoint) else np.asarray(zeta, dtype=np.complex128)
+        z = _coords(zeta)
         batched = z.ndim == 2
         if z.shape[-1] != self.dim:
             raise DimensionMismatchError(

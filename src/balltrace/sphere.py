@@ -103,6 +103,11 @@ class SpherePoint:
         return f"SpherePoint({self.coords.tolist()})"
 
 
+def _coords(zeta) -> np.ndarray:
+    """A SpherePoint's coordinates, else the argument as a complex128 array (a point or a batch)."""
+    return zeta.coords if isinstance(zeta, SpherePoint) else np.asarray(zeta, dtype=np.complex128)
+
+
 def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     """zeta^alpha * conj(zeta)^beta, pointwise or batched.
 
@@ -110,7 +115,7 @@ def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     scalar or an (N,) array accordingly.  |result| <= 1 on the sphere since
     every coordinate has modulus <= 1.
     """
-    z = zeta.coords if isinstance(zeta, SpherePoint) else np.asarray(zeta, dtype=np.complex128)
+    z = _coords(zeta)
     batched = z.ndim == 2
     n = z.shape[-1]
     if alpha.dim != n or beta.dim != n:
@@ -150,11 +155,11 @@ def _draw_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
     return np.linalg.norm(z, axis=1)
 
 
-def _chunk(seed: int, dim: int, k: int, rows: int = CHUNK_DRAWS) -> np.ndarray:
-    """Rows [0, rows) of chunk k of the (seed, dim) stream: (rows, dim) unit rows.
+def _chunk(seed: int, dim: int, k: int) -> np.ndarray:
+    """Chunk k of the (seed, dim) stream: (CHUNK_DRAWS, dim) unit rows.
 
-    Draws the whole chunk: an exactly-zero Gaussian row (probability 0) is
-    redrawn from the stream past the chunk's end.
+    An exactly-zero Gaussian row (probability 0) is redrawn from the stream
+    past the chunk's end.
     """
     rng = _chunk_rng(seed, k)
     z = np.empty((CHUNK_DRAWS, dim), dtype=np.complex128)
@@ -165,8 +170,7 @@ def _chunk(seed: int, dim: int, k: int, rows: int = CHUNK_DRAWS) -> np.ndarray:
         norms[bad] = _draw_rows(rng, y)
         z[bad] = y
         bad = norms < _ZERO_NORM
-    z = z[:rows]
-    z *= (1.0 / norms[:rows])[:, None]
+    z *= (1.0 / norms)[:, None]
     return z
 
 
@@ -228,7 +232,7 @@ class SphereSampler:
         return SpherePoint(self.sample_batch(1)[0])
 
 
-def mean_and_stderr(values: np.ndarray, expect_real: bool = False):
+def mean_and_stderr(values: np.ndarray):
     """Sample mean and standard error of a 1-D batch of evaluations.
 
     For complex batches the standard error combines both components:
@@ -240,10 +244,10 @@ def mean_and_stderr(values: np.ndarray, expect_real: bool = False):
     """
     v = np.asarray(values)
     blocks = (v[start:start + _BLOCK_ROWS] for start in range(0, v.shape[0], _BLOCK_ROWS))
-    return fold_mean_and_stderr(blocks, expect_real)
+    return fold_mean_and_stderr(blocks)
 
 
-def fold_mean_and_stderr(blocks, expect_real: bool = False):
+def fold_mean_and_stderr(blocks):
     """mean_and_stderr of the concatenation of 1-D blocks, holding one block at a time.
 
     Each block's mean and sum of squared deviations fold into running ones by
@@ -261,4 +265,4 @@ def fold_mean_and_stderr(blocks, expect_real: bool = False):
     if n == 0:
         raise ValueError("empty sample batch")
     stderr = math.inf if n == 1 else math.sqrt(m2 / (n - 1) / n)
-    return (mean.real if expect_real else mean), stderr
+    return mean, stderr

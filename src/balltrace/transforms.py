@@ -58,6 +58,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
+from .exact import format_float
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import (
@@ -324,7 +325,7 @@ class RadialScanRow:
 
     def csv(self) -> str:
         """The row as one line under RADIAL_CSV_HEADER: floats to 17 significant digits."""
-        return ",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in astuple(self))
+        return ",".join(format_float(v) if isinstance(v, float) else str(v) for v in astuple(self))
 
 
 RADIAL_CSV_HEADER = ",".join(field.name for field in fields(RadialScanRow))

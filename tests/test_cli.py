@@ -438,6 +438,13 @@ class TestVerifyCommand:
         assert "passed 5/5 checks" in out
         assert all(line.startswith(("ok", "passed")) for line in out.strip().splitlines())
 
+    def test_poisson_check_passes_in_high_dimension(self, capsys):
+        # a ball point with |z| <= 1/n keeps the Poisson kernel's peak at most 9;
+        # at |z| <= 1/2 it reached 3^30 and this Poisson line failed
+        code, out, _ = run(capsys, "verify", "--n", "30", "--seed", "7", "--samples", "2000")
+        assert code == 0
+        assert "passed 5/5 checks" in out
+
 
 class TestParser:
     def test_built_once_per_process(self, capsys, coordinate_file):
@@ -689,6 +696,16 @@ class TestExitCodes:
         assert code == 2 and out == "" and time.perf_counter() - start < 1.0
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["type"] == "PreconditionError" and "bits" in line
+
+    def test_one_term_scan_is_charged_for_pairs_only(self, capsys, tmp_path):
+        # conj(zeta_1)^4000 in n = 1: 4002 pairs on integers of about 92000 bits,
+        # 184092 units; charging the K = 8001 weights as well refused it
+        path = tmp_path / "conj4000.json"
+        path.write_text('{"n": 1, "terms": [{"mu": [0], "nu": [4000], "re": "1/1", "im": "0/1"}]}')
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 0 and err == "" and time.perf_counter() - start < 1.0
+        assert json.loads(out)["violation_order"] == 4001
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

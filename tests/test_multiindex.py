@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from balltrace.errors import DimensionMismatchError, DominationError
-from balltrace.multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from balltrace.multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
 
 small_dims = st.integers(min_value=1, max_value=4)
 
@@ -137,6 +137,23 @@ class TestNormSqConstants:
                 math.factorial(n - 1) * w.index_factorial(), math.factorial(n - 1 + w.degree)
             )
             assert monomial_norm_sq(w) == expected
+
+    @given(st.data(), small_dims, st.integers(0, 40))
+    def test_scan_weight_is_mass_quotient(self, data, n, k):
+        # the condition scan's W(w) = M / multinomial(w) with M = (n-1+K)!/(n-1)!
+        # is the integer w! (n-1+K)! / (n-1+|w|)! for every |w| <= K
+        parts, left = [], k
+        for _ in range(n):
+            parts.append(data.draw(st.integers(0, left)))
+            left -= parts[-1]
+        w = MultiIndex(data.draw(st.permutations(parts)))
+        expected = Fraction(
+            w.index_factorial() * math.factorial(n - 1 + k), math.factorial(n - 1 + w.degree)
+        )
+        assert expected.denominator == 1
+        assert math.perm(n - 1 + k, k) // _multinomial(w) == expected
+        assert math.perm(n - 1 + k, k) % _multinomial(w) == 0
+        assert monomial_norm_sq(w) == Fraction(1, _multinomial(w))
 
     def test_closed_form_spot_check(self):
         # n=3, w=(2,1,0): 2! * (2*1*1) / 5! = 4/120

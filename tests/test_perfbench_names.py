@@ -12,6 +12,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
+from balltrace import membership
+from balltrace.generators import random_nonmember_poly
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -95,3 +100,26 @@ def test_guard_catches_a_missing_name():
         "balltrace.sphere._gone",
         "balltrace.sphere.no_such_function",
     ]
+
+
+def test_sweep_reports_go_through_check_condition_and_moment(monkeypatch):
+    """The call path whose calls the benchmark's traced certify run counts.
+
+    perfbench/test_perfbench.py wraps membership.check_condition and
+    membership.moment and needs one check_condition call per sweep report,
+    each reaching moment.  This guard goes with the benchmark revision that
+    counts work from the program itself (ROADMAP item 1).
+    """
+    calls = {"check_condition": 0, "moment": 0}
+    for name in calls:
+        original = getattr(membership, name)
+
+        def spy(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(membership, name, spy)
+    f = random_nonmember_poly(np.random.default_rng(3), 4, 5, n_terms=12)
+    reports = membership.sweep(f, f.max_degree() + 1)
+    assert calls["check_condition"] == len(reports) > 0
+    assert calls["moment"] >= calls["check_condition"]
