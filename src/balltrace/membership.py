@@ -16,7 +16,8 @@ negation of "beta dominates alpha".
 Membership itself is decided in finite exact arithmetic through the Cauchy
 (Szego) projection C[f]: f is a trace iff the exact L2 norm of the residual
 r = f - C[f] vanishes, in which case C[f] is the holomorphic extension
-witness.  The conditions are linear and C[f] satisfies all of them, so they
+witness; C[f] and ||r||^2 come from the integer line kernel of polynomials.
+The conditions are linear and C[f] satisfies all of them, so they
 hold for f exactly when they hold for r.  r is orthogonal to every
 holomorphic monomial (Rudin, Function Theory in the Unit Ball of C^n, ch. 6),
 so every right side moment(r, 0, lambda) vanishes: a pair is violated exactly
@@ -32,7 +33,7 @@ f's lines d >= 0), so the scan enumerates, for each alpha, only
 beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
 |indices|^2.  It tests them in integers.  At sweep order N let
 K = N + r.max_degree() and
-  D = lcm of the denominators of r's coefficient parts,
+  D = lcm of the denominators of r's coefficient parts (r's integer lines),
   M = (n-1+K)! / (n-1)!,
   W(w) = M / multinomial(w) = w! (n-1+K)! / (n-1+|w|)!   (an integer for |w| <= K),
 where multinomial(w) = (n-1+|w|)! / ((n-1)! w!) = 1 / norm_sq(w), so that
@@ -43,8 +44,8 @@ is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M).
 A pair is violated iff S(alpha, d) != 0, and its exact gap is |S| / (D M)
 for A and |S| / (D W(beta)) for B: ratios of integers with the common
 factor D, so the worst violation is found by cross-multiplying integers,
-ties going to the first pair in graded-lex order, and Fractions are built
-only for the pairs that get a report, through check_condition on f.  W is
+ties going to the first pair in graded-lex order, and only the report,
+through check_condition on f, builds Fractions.  W is
 cached for one scan; no factorial table is built.  A scan first estimates its
 work and refuses to start above WORK_BUDGET: C(N + n, n) * (lines of r)
 candidate pairs, each counted once more per whole SIZE_UNIT_BITS bits of M,
@@ -213,7 +214,7 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
     """
     _check_budget(r, order)
     n = r.dim
-    lines = r.lines()
+    _, lines = r._integer_lines()  # (D c) on each line; D is common to every S
     k = order + r.max_degree()
     full = math.perm(n - 1 + k, k)  # M = (n-1+K)!/(n-1)!
     weights: dict[tuple[int, ...], int] = {}
@@ -225,18 +226,8 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
             w = weights[omega] = full // _multinomial(omega)
         return w
 
-    denom = math.lcm(
-        *(q.denominator for group in lines.values() for *_, c in group for q in (c.re, c.im))
-    )
-    plan = []
     # for a fixed alpha, beta = alpha + d runs in the graded-lex order of d
-    for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d))):
-        terms = [
-            (mu, c.re.numerator * (denom // c.re.denominator),
-             c.im.numerator * (denom // c.im.denominator))
-            for mu, _, c in lines[d]
-        ]
-        plan.append((d, terms, min(d) < 0))
+    plan = [(d, lines[d], min(d) < 0) for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d)))]
     indices = graded_indices(n, order)
     lookup = {idx: idx for idx in indices}
     out = []
@@ -246,7 +237,7 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
             if beta is None:
                 continue
             s_re = s_im = 0
-            for mu, re, im in terms:
+            for mu, _, re, im in terms:
                 w = weight(tuple(map(add, alpha, mu)))
                 s_re += re * w
                 s_im += im * w

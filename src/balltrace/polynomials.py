@@ -14,10 +14,11 @@ conditions) follows from this identity by linearity, in exact rational
 arithmetic.  A term zeta^mu conj(zeta)^nu pairs nontrivially with
 zeta^alpha conj(zeta)^beta only when beta - alpha = mu - nu, so every
 polynomial groups its terms by difference line d = mu - nu, and a moment
-visits only the terms on the one line that can contribute.  moment is the
-one exact implementation of the pairing: inner products (so L2 norms and
-distances) pair f with each term of g through it, and the Cauchy
-projection of transforms takes one moment per line.
+visits only the terms on the one line that can contribute.  One integer
+line kernel is the exact pairing: lines scaled to Gaussian integers
+(_integer_lines), summed as N_w / multinomial(w) in integers (_mass_sum);
+moment, inner_product (so L2 norms) and the Cauchy projection of transforms
+build Fractions only for their values.
 
 The exact Laplacian sum_j d/dz_j d/dconj(z_j) splits f on the sphere into
 bigraded harmonic components H(p,q) (SpherePolynomial.harmonics), the
@@ -36,14 +37,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from .exact import ComplexFraction, ZERO, complex_from_strings, complex_to_strings
-from .multiindex import MultiIndex, monomial_norm_sq
+from .multiindex import MultiIndex, _multinomial, monomial_norm_sq
 from .sphere import SphereSampler, _coords, fold_mean_and_stderr, monomial_eval
 
 TermKey = tuple[MultiIndex, MultiIndex]
@@ -66,7 +68,7 @@ class SpherePolynomial:
     operations (+, -, *, scalar multiples) and conjugation.
     """
 
-    __slots__ = ("dim", "_terms", "_lines", "_harmonics")
+    __slots__ = ("dim", "_terms", "_lines", "_integer", "_harmonics", "_masses")
 
     def __init__(self, dim: int, terms: Mapping[TermKey, ComplexFraction] | None = None):
         if dim < 1:
@@ -91,8 +93,8 @@ class SpherePolynomial:
                     del clean[key]
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_lines", None)
-        object.__setattr__(self, "_harmonics", None)
+        for slot in ("_lines", "_integer", "_harmonics", "_masses"):
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -116,6 +118,17 @@ class SpherePolynomial:
                 self, "_lines", MappingProxyType({d: tuple(g) for d, g in groups.items()})
             )
         return self._lines
+
+    def _integer_lines(self) -> tuple[int, Mapping[Line, tuple[tuple[MultiIndex, MultiIndex, int, int], ...]]]:
+        """(D, {d: ((mu, nu, D re, D im), ...)}): lines() times D, the lcm of all denominators."""
+        if self._integer is None:
+            den = math.lcm(*(q.denominator for c in self._terms.values() for q in (c.re, c.im)))
+            scale = lambda q: q.numerator * (den // q.denominator)  # noqa: E731
+            object.__setattr__(self, "_integer", (den, MappingProxyType({
+                d: tuple((mu, nu, scale(c.re), scale(c.im)) for mu, nu, c in group)
+                for d, group in self.lines().items()
+            })))
+        return self._integer
 
     def harmonics(self) -> Mapping[tuple[int, int], "SpherePolynomial"]:
         """Bigraded harmonic components on the sphere: {(p, q): h}, sorted by (p, q).
@@ -163,6 +176,14 @@ class SpherePolynomial:
                 MappingProxyType({pq: out[pq] for pq in sorted(out) if not out[pq].is_zero()}),
             )
         return self._harmonics
+
+    def _harmonic_masses(self) -> dict[tuple[int, int], float]:
+        """{(p, q): sum of |coefficients| of that harmonics() component, a float}; kept like it."""
+        if self._masses is None:
+            object.__setattr__(self, "_masses", {
+                pq: sum(math.sqrt(float(c.abs_sq())) for c in h._terms.values())
+                for pq, h in self.harmonics().items()})
+        return self._masses
 
     @classmethod
     def zero(cls, dim: int) -> "SpherePolynomial":
@@ -404,6 +425,19 @@ def laplacian(f: SpherePolynomial) -> SpherePolynomial:
     return SpherePolynomial(f.dim, out)
 
 
+def _mass_sum(terms: Iterable[tuple[tuple[int, ...], int, int]], den: int) -> ComplexFraction:
+    """Sum over (w, re, im) of (re + i im) / (den multinomial(w)), exact.
+
+    Integers over L, the lcm of the multinomials met, not over a factorial
+    bound: in n = 1 every multinomial is 1, so zeta_1^(10^6) stays small.
+    """
+    parts = [(_multinomial(w), re, im) for w, re, im in terms]
+    lcm = math.lcm(*(m for m, _, _ in parts))
+    x = sum(re * (lcm // m) for m, re, _ in parts)
+    y = sum(im * (lcm // m) for m, _, im in parts)
+    return ComplexFraction(Fraction(x, den * lcm), Fraction(y, den * lcm))
+
+
 def moment(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ComplexFraction:
     """Exact moment: integral of zeta^alpha conj(zeta)^beta f(zeta) dsigma.
 
@@ -415,22 +449,25 @@ def moment(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ComplexF
         raise DimensionMismatchError(
             f"index dimension {len(alpha)}/{len(beta)} does not match polynomial dimension {f.dim}"
         )
-    total = ZERO
-    for mu, _, coeff in f.lines().get(tuple(b - a for a, b in zip(alpha, beta)), ()):
-        total = total + coeff * monomial_norm_sq(tuple(a + m for a, m in zip(alpha, mu)))
-    return total
+    den, lines = f._integer_lines()
+    line = lines.get(tuple(map(sub, beta, alpha)), ())
+    return _mass_sum(((tuple(map(add, alpha, mu)), re, im) for mu, _, re, im in line), den)
 
 
 def inner_product(f: SpherePolynomial, g: SpherePolynomial) -> ComplexFraction:
     """Exact L2(sigma) inner product <f, g> = integral of f * conj(g); conjugate-linear in g.
 
-    A term b zeta^mu conj(zeta)^nu of g contributes conj(b) moment(f, nu, mu).
+    Terms b zeta^mu conj(zeta)^nu of g and a zeta^mu' conj(zeta)^nu' of f on one line add
+    a conj(b) norm_sq(nu + mu'); the rest pair to 0.
     """
     f._check_same(g)
-    total = ZERO
-    for (mu, nu), b in g._terms.items():
-        total = total + b.conjugate() * moment(f, nu, mu)
-    return total
+    f_den, f_lines = f._integer_lines()
+    g_den, g_lines = g._integer_lines()
+    return _mass_sum((
+        (tuple(map(add, nu, mu)), a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im)
+        for d, group in g_lines.items() for _, nu, b_re, b_im in group
+        for mu, _, a_re, a_im in f_lines.get(d, ())
+    ), f_den * g_den)
 
 
 def l2_norm_sq(f: SpherePolynomial) -> Fraction:

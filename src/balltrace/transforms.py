@@ -60,14 +60,14 @@ import numpy as np
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
 from .exact import format_float
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
-from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from .multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
 from .polynomials import (
     HolomorphicPolynomial,
     MCEstimate,
     SpherePolynomial,
+    _mass_sum,
     _PowerTable,
     _weighted_mean,
-    moment,
 )
 from .sphere import SphereSampler
 
@@ -81,10 +81,12 @@ def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
     This is the orthogonal projection onto holomorphic polynomials w.r.t.
     the exact L2 inner product; by the term rule of the module docstring it
     is one moment per line d >= 0 of f:
-        C[f] = sum_d moment(f, 0, d) / norm_sq(d) z^d.
+        C[f] = sum_d moment(f, 0, d) / norm_sq(d) z^d, summed by the line kernel.
     """
+    den, lines = f._integer_lines()
     return HolomorphicPolynomial(f.dim, {
-        d: moment(f, (0,) * f.dim, d) * (1 / monomial_norm_sq(d)) for d in f.lines() if min(d) >= 0
+        d: _mass_sum(((mu, m * re, m * im) for mu, _, re, im in group), den)
+        for d, group in lines.items() if min(d) >= 0 for m in [_multinomial(d)]
     })
 
 
@@ -269,8 +271,8 @@ def poisson_series_tail(f: SpherePolynomial, radius: float, order: int) -> float
     s = radius * radius
     numer_tail = 0.0
     value_bound = 0.0
-    for (p, q), h in f.harmonics().items():
-        size = sum(math.sqrt(float(c.abs_sq())) for c in h._terms.values()) * radius ** (p + q)
+    for (p, q), mass in f._harmonic_masses().items():
+        size = mass * radius ** (p + q)
         numer_tail += size * _radial_tail(p, q, n, s, order - max(p, q))
         value_bound += size
     return (1.0 - s) ** n * (numer_tail + value_bound * _radial_tail(0, 0, n, s, order))

@@ -1,11 +1,11 @@
 """The line-keyed exact core against its direct reference forms.
 
-moment, inner_product and sweep visit only the difference lines
-d = mu - nu of a polynomial, and sweep and is_boundary_trace test the
-conditions in integers; tests/reference_exact.py keeps the forms that visit
-every term and every pair in Fractions, and the choice of the worst
-violation by its exact Fraction gap.  Exact arithmetic makes the comparison
-an identity, not a tolerance.
+moment, inner_product, l2_norm_sq, cauchy_transform_poly and sweep visit
+only the difference lines d = mu - nu of a polynomial, and all of them sum
+in integers (the integer line kernel of polynomials); tests/reference_exact.py
+keeps the forms that visit every term and every pair in Fractions, and the
+choice of the worst violation by its exact Fraction gap.  Exact arithmetic
+makes the comparison an identity, not a tolerance.
 """
 
 from fractions import Fraction
@@ -15,10 +15,18 @@ from hypothesis import strategies as st
 
 from balltrace.exact import ComplexFraction
 from balltrace.membership import is_boundary_trace, sweep, szego_residual
-from balltrace.multiindex import graded_indices
-from balltrace.polynomials import SpherePolynomial, inner_product, l2_norm_sq, moment
+from balltrace.multiindex import MultiIndex, graded_indices
+from balltrace.polynomials import (
+    HolomorphicPolynomial,
+    SpherePolynomial,
+    inner_product,
+    l2_norm_sq,
+    moment,
+)
+from balltrace.transforms import cauchy_transform_poly
 
 from reference_exact import (
+    reference_cauchy,
     reference_inner_product,
     reference_moment,
     reference_sweep,
@@ -44,6 +52,22 @@ def polys(draw, dim=None, max_degree=None):
     pool = graded_indices(dim, max_degree)
     terms = draw(
         st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), coeffs), max_size=6)
+    )
+    return SpherePolynomial(dim, {(mu, nu): c for mu, nu, c in terms})
+
+
+# denominators far past the small ones above, so D and the kernel's lcm of
+# multinomials are big integers
+wide_rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**20)
+wide_coeffs = st.builds(ComplexFraction, wide_rationals, wide_rationals)
+
+
+@st.composite
+def wide_polys(draw):
+    dim = draw(st.integers(1, 4))
+    pool = graded_indices(dim, draw(st.integers(0, 4)))
+    terms = draw(
+        st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool), wide_coeffs), max_size=8)
     )
     return SpherePolynomial(dim, {(mu, nu): c for mu, nu, c in terms})
 
@@ -111,3 +135,83 @@ def test_lines_group_terms_by_difference():
     assert set(lines) == {(1, 0), (0, -1)}
     assert len(lines[(1, 0)]) == 2 and len(lines[(0, -1)]) == 1
     assert f.lines() is lines  # built once
+
+
+@given(st.one_of(polys(), wide_polys()))
+@settings(max_examples=80, deadline=None)
+def test_cauchy_matches_term_rule(f):
+    assert cauchy_transform_poly(f) == reference_cauchy(f)
+
+
+@given(st.one_of(polys(), wide_polys()))
+@settings(max_examples=80, deadline=None)
+def test_norm_matches_reference(f):
+    assert l2_norm_sq(f) == reference_inner_product(f, f).re
+
+
+def test_coprime_large_denominators():
+    p, q = 2**61 - 1, 2**89 - 1  # Mersenne primes
+    f = SpherePolynomial(
+        3,
+        {
+            ((2, 1, 0), (1, 0, 0)): ComplexFraction(Fraction(1, p), Fraction(-3, q)),
+            ((1, 0, 0), (0, 0, 0)): ComplexFraction(Fraction(5, q)),
+            ((0, 1, 2), (0, 0, 1)): ComplexFraction(0, Fraction(7, p * q)),
+            ((0, 0, 0), (0, 2, 1)): ComplexFraction(Fraction(-2, 3), Fraction(1, p)),
+        },
+    )
+    assert f._integer_lines()[0] == 3 * p * q
+    # on f's lines, with other large denominators
+    g = SpherePolynomial(3, {
+        key: ComplexFraction(Fraction(k + 1, 2**31 - 1), Fraction(-k, 2**107 - 1))
+        for k, key in enumerate(f.terms)
+    })
+    assert l2_norm_sq(f) == reference_inner_product(f, f).re > 0
+    assert inner_product(f, g) == reference_inner_product(f, g)
+    assert inner_product(g, f) == reference_inner_product(g, f)
+    assert cauchy_transform_poly(f) == reference_cauchy(f)
+    for alpha in graded_indices(3, 2):
+        for beta in graded_indices(3, 3):
+            assert moment(f, alpha, beta) == reference_moment(f, alpha, beta)
+    cert = is_boundary_trace(f)
+    assert not cert.member
+    assert cert.violation == reference_worst(reference_sweep(f, cert.violation_order))
+
+
+def test_zero_polynomial():
+    zero = SpherePolynomial.zero(3)
+    alpha, beta = MultiIndex((1, 0, 0)), MultiIndex((0, 0, 1))
+    assert zero._integer_lines()[0] == 1
+    assert moment(zero, alpha, beta) == 0
+    assert inner_product(zero, zero) == 0
+    assert l2_norm_sq(zero) == 0
+    assert cauchy_transform_poly(zero) == HolomorphicPolynomial.zero(3)
+    cert = is_boundary_trace(zero)
+    assert cert.member and cert.residual_sq == 0
+    assert cert.witness_extension == HolomorphicPolynomial.zero(3)
+    assert sweep(zero, 3) == []
+
+
+def test_disguised_member_has_zero_residual_and_its_witness():
+    # g + q * (|zeta|^2 - 1) equals g on the sphere
+    g = HolomorphicPolynomial(
+        3, {(1, 0, 0): Fraction(2, 7), (0, 2, 1): ComplexFraction(0, Fraction(-5, 11)), (0, 0, 0): 3}
+    )
+    q = SpherePolynomial(
+        3,
+        {
+            ((1, 1, 0), (0, 0, 2)): ComplexFraction(Fraction(1, 13), Fraction(4, 9)),
+            ((0, 0, 0), (2, 0, 0)): ComplexFraction(Fraction(-3, 5)),
+            ((2, 0, 1), (1, 0, 1)): ComplexFraction(0, Fraction(1, 17)),
+        },
+    )
+    shell = SpherePolynomial(
+        3, {(MultiIndex.unit(3, k), MultiIndex.unit(3, k)): 1 for k in range(3)}
+    )
+    f = g.restrict_to_sphere() + q * (shell - SpherePolynomial.one(3))
+    assert len(f.terms) > len(g.terms)
+    residual_sq, witness = szego_residual(f)
+    assert residual_sq == 0 and witness == g
+    cert = is_boundary_trace(f)
+    assert cert.member and cert.residual_sq == 0 and cert.witness_extension == g
+    assert sweep(f, f.max_degree() + 1) == []
