@@ -33,7 +33,7 @@ f's lines d >= 0), so the scan enumerates, for each alpha, only
 beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
 |indices|^2.  It tests them in integers.  At sweep order N let
 K = N + r.max_degree() and
-  D = lcm of the denominators of r's coefficient parts (r's integer lines),
+  D = lcm of the denominators of r's coefficient parts (r's stored denominator),
   M = (n-1+K)! / (n-1)!,
   W(w) = M / multinomial(w) = w! (n-1+K)! / (n-1+|w|)!   (an integer for |w| <= K),
 where multinomial(w) = (n-1+|w|)! / ((n-1)! w!) = 1 / norm_sq(w), so that
@@ -214,7 +214,7 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
     """
     _check_budget(r, order)
     n = r.dim
-    _, lines = r._integer_lines()  # (D c) on each line; D is common to every S
+    lines = r.lines()  # (D c) on each line; D is common to every S
     k = order + r.max_degree()
     full = math.perm(n - 1 + k, k)  # M = (n-1+K)!/(n-1)!
     weights: dict[tuple[int, ...], int] = {}

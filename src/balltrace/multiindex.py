@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import index
 
 from .errors import DimensionMismatchError, DominationError
 
@@ -35,7 +36,7 @@ class MultiIndex(tuple):
     __slots__ = ()
 
     def __new__(cls, components):
-        comps = tuple(int(c) for c in components)
+        comps = tuple(map(index, components))
         if not comps:
             raise ValueError("multi-index needs at least one component")
         if any(c < 0 for c in comps):

@@ -1,10 +1,10 @@
 """Sphere polynomials, exact monomial integrals, moments, and L2 geometry.
 
 A sphere polynomial is a finite sum  f = sum a_{mu,nu} zeta^mu conj(zeta)^nu
-with exact ComplexFraction coefficients; it is the boundary-data
-representation every exact routine works on.  Holomorphic polynomials (the
-extension witnesses) are the sphere polynomials with every nu = 0.  The integral oracle is the
-orthogonality of sphere monomials:
+with exact coefficients, stored once as Gaussian integers over one denominator
+D; it is the boundary-data representation every exact routine works on.
+Holomorphic polynomials (the extension witnesses) are the sphere polynomials
+with every nu = 0.  The integral oracle is the orthogonality of sphere monomials:
 
     integral of zeta^w conj(zeta)^v dsigma  =  0                if w != v,
                                                monomial_norm_sq(w) if w = v.
@@ -15,7 +15,7 @@ arithmetic.  A term zeta^mu conj(zeta)^nu pairs nontrivially with
 zeta^alpha conj(zeta)^beta only when beta - alpha = mu - nu, so every
 polynomial groups its terms by difference line d = mu - nu, and a moment
 visits only the terms on the one line that can contribute.  One integer
-line kernel is the exact pairing: lines scaled to Gaussian integers
+line kernel is the exact pairing: the stored integers on each line over D
 (_integer_lines), summed as N_w / multinomial(w) in integers (_mass_sum);
 moment, inner_product (so L2 norms) and the Cauchy projection of transforms
 build Fractions only for their values.
@@ -50,6 +50,7 @@ from .sphere import SphereSampler, _coords, fold_mean_and_stderr, monomial_eval
 
 TermKey = tuple[MultiIndex, MultiIndex]
 Line = tuple[int, ...]
+Parts = Iterable[tuple[TermKey, tuple[int, int]]]  # ((mu, nu), (D re, D im)) pairs
 
 
 def monomial_integral(w: MultiIndex, v: MultiIndex) -> Fraction:
@@ -64,16 +65,17 @@ def monomial_integral(w: MultiIndex, v: MultiIndex) -> Fraction:
 class SpherePolynomial:
     """Finite sum of monomials zeta^mu conj(zeta)^nu with exact coefficients.
 
-    Immutable; zero coefficients are never stored.  Supports exact ring
+    Immutable; stored once as Gaussian integers over one denominator (_store),
+    read as ComplexFraction coefficients through terms.  Supports exact ring
     operations (+, -, *, scalar multiples) and conjugation.
     """
 
-    __slots__ = ("dim", "_terms", "_lines", "_integer", "_harmonics", "_masses")
+    __slots__ = ("dim", "_den", "_parts", "_lines", "_harmonics", "_masses")
 
     def __init__(self, dim: int, terms: Mapping[TermKey, ComplexFraction] | None = None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        clean: dict[TermKey, ComplexFraction] = {}
+        clean: list[tuple[TermKey, ComplexFraction]] = []
         for (mu, nu), coeff in (terms or {}).items():
             if not isinstance(mu, MultiIndex) or not isinstance(nu, MultiIndex):
                 mu, nu = MultiIndex(mu), MultiIndex(nu)
@@ -81,54 +83,40 @@ class SpherePolynomial:
                 raise DimensionMismatchError(
                     f"term ({tuple(mu)}, {tuple(nu)}) does not match dimension {dim}"
                 )
-            if not isinstance(coeff, ComplexFraction):
-                coeff = ComplexFraction(coeff)
-            if coeff:
-                key = (mu, nu)
-                prev = clean.get(key)
-                total = coeff if prev is None else prev + coeff
-                if total:
-                    clean[key] = total
-                elif prev is not None:
-                    del clean[key]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "_terms", clean)
-        for slot in ("_lines", "_integer", "_harmonics", "_masses"):
-            object.__setattr__(self, slot, None)
+            clean.append(((mu, nu), coeff if isinstance(coeff, ComplexFraction) else ComplexFraction(coeff)))
+        den = math.lcm(*(q.denominator for _, c in clean for q in (c.re, c.im)))
+        times_den = lambda q: q.numerator * (den // q.denominator)  # noqa: E731
+        _store(dim, den, ((key, (times_den(c.re), times_den(c.im))) for key, c in clean), self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def terms(self) -> dict[TermKey, ComplexFraction]:
-        return dict(self._terms)
+        return {key: self._coeff(*part) for key, part in self._parts.items()}
 
-    def lines(self) -> Mapping[Line, tuple[tuple[MultiIndex, MultiIndex, ComplexFraction], ...]]:
-        """Terms grouped by difference line: {mu - nu: ((mu, nu, coeff), ...)}.
+    def _coeff(self, re: int, im: int) -> ComplexFraction:
+        return ComplexFraction(Fraction(re, self._den), Fraction(im, self._den))
 
-        A line d is a plain int tuple and may have negative components.  The
-        grouping is built on first use and kept for the polynomial's life
-        (the terms never change); the returned mapping is read-only.
+    def lines(self) -> Mapping[Line, tuple[tuple[MultiIndex, MultiIndex, int, int], ...]]:
+        """Terms grouped by difference line: {mu - nu: ((mu, nu, D re, D im), ...)}.
+
+        A line d is a plain int tuple and may have negative components; the
+        parts are over D = _integer_lines()[0].  Built on first use and kept
+        for the polynomial's life (the terms never change); read-only.
         """
         if self._lines is None:
             groups: dict[Line, list] = {}
-            for (mu, nu), coeff in self._terms.items():
-                groups.setdefault(tuple(m - v for m, v in zip(mu, nu)), []).append((mu, nu, coeff))
+            for (mu, nu), (re, im) in self._parts.items():
+                groups.setdefault(tuple(map(sub, mu, nu)), []).append((mu, nu, re, im))
             object.__setattr__(
                 self, "_lines", MappingProxyType({d: tuple(g) for d, g in groups.items()})
             )
         return self._lines
 
     def _integer_lines(self) -> tuple[int, Mapping[Line, tuple[tuple[MultiIndex, MultiIndex, int, int], ...]]]:
-        """(D, {d: ((mu, nu, D re, D im), ...)}): lines() times D, the lcm of all denominators."""
-        if self._integer is None:
-            den = math.lcm(*(q.denominator for c in self._terms.values() for q in (c.re, c.im)))
-            scale = lambda q: q.numerator * (den // q.denominator)  # noqa: E731
-            object.__setattr__(self, "_integer", (den, MappingProxyType({
-                d: tuple((mu, nu, scale(c.re), scale(c.im)) for mu, nu, c in group)
-                for d, group in self.lines().items()
-            })))
-        return self._integer
+        """(D, lines()): D is the one denominator of every part, the lcm of all denominators."""
+        return self._den, self.lines()
 
     def harmonics(self) -> Mapping[tuple[int, int], "SpherePolynomial"]:
         """Bigraded harmonic components on the sphere: {(p, q): h}, sorted by (p, q).
@@ -149,12 +137,12 @@ class SpherePolynomial:
             shell = SpherePolynomial(
                 n, {(MultiIndex.unit(n, k), MultiIndex.unit(n, k)): 1 for k in range(n)}
             )
-            parts: dict[tuple[int, int], dict[TermKey, ComplexFraction]] = {}
-            for (mu, nu), coeff in self._terms.items():
-                parts.setdefault((mu.degree, nu.degree), {})[(mu, nu)] = coeff
+            parts: dict[tuple[int, int], list] = {}
+            for (mu, nu), part in self._parts.items():
+                parts.setdefault((mu.degree, nu.degree), []).append(((mu, nu), part))
             out: dict[tuple[int, int], SpherePolynomial] = {}
             for (a, b), terms in parts.items():
-                lap = [SpherePolynomial(n, terms)]
+                lap = [_store(n, self._den, terms)]
                 for _ in range(min(a, b)):
                     lap.append(laplacian(lap[-1]))
                 for k in range(min(a, b) + 1):
@@ -179,9 +167,9 @@ class SpherePolynomial:
 
     def _harmonic_masses(self) -> dict[tuple[int, int], float]:
         """{(p, q): sum of |coefficients| of that harmonics() component, a float}; kept like it."""
-        if self._masses is None:
+        if self._masses is None:  # |c|^2 rounds once, as float(c.abs_sq()) does
             object.__setattr__(self, "_masses", {
-                pq: sum(math.sqrt(float(c.abs_sq())) for c in h._terms.values())
+                pq: sum(math.sqrt((re * re + im * im) / (h._den * h._den)) for re, im in h._parts.values())
                 for pq, h in self.harmonics().items()})
         return self._masses
 
@@ -202,18 +190,16 @@ class SpherePolynomial:
     def sorted_terms(self) -> list[tuple[MultiIndex, MultiIndex, ComplexFraction]]:
         """Terms in graded-lex order of (mu, nu); the canonical report order."""
         return [
-            (mu, nu, self._terms[(mu, nu)])
-            for mu, nu in sorted(self._terms, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
+            (mu, nu, self._coeff(*self._parts[(mu, nu)]))
+            for mu, nu in sorted(self._parts, key=lambda k: (k[0].sort_key(), k[1].sort_key()))
         ]
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._parts
 
     def max_degree(self) -> int:
         """Largest of |mu|, |nu| over stored terms (0 for the zero polynomial)."""
-        if not self._terms:
-            return 0
-        return max(max(mu.degree, nu.degree) for mu, nu in self._terms)
+        return max((max(mu.degree, nu.degree) for mu, nu in self._parts), default=0)
 
     def _check_same(self, other: "SpherePolynomial") -> None:
         if self.dim != other.dim:
@@ -223,10 +209,10 @@ class SpherePolynomial:
         if not isinstance(other, SpherePolynomial):
             return NotImplemented
         self._check_same(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            out[key] = out.get(key, ZERO) + coeff
-        return SpherePolynomial(self.dim, out)
+        den = math.lcm(self._den, other._den)
+        return _store(self.dim, den, (
+            (key, (re * m, im * m)) for p in (self, other) for m in [den // p._den]
+            for key, (re, im) in p._parts.items()))
 
     def __sub__(self, other) -> "SpherePolynomial":
         if not isinstance(other, SpherePolynomial):
@@ -234,37 +220,36 @@ class SpherePolynomial:
         return self + (-other)
 
     def __neg__(self) -> "SpherePolynomial":
-        return SpherePolynomial(self.dim, {k: -c for k, c in self._terms.items()})
+        return _store(self.dim, self._den, ((k, (-re, -im)) for k, (re, im) in self._parts.items()))
 
     def scale(self, factor) -> "SpherePolynomial":
-        """Multiply by an exact scalar."""
-        return SpherePolynomial(self.dim, {k: c * factor for k, c in self._terms.items()})
+        """Multiply by an exact scalar: an int, a Fraction or a ComplexFraction."""
+        c = factor if isinstance(factor, ComplexFraction) else ComplexFraction(factor)
+        q = math.lcm(c.re.denominator, c.im.denominator)
+        x, y = c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator)
+        return _store(self.dim, self._den * q, (
+            (k, (re * x - im * y, re * y + im * x)) for k, (re, im) in self._parts.items()))
 
     def __mul__(self, other) -> "SpherePolynomial":
         if not isinstance(other, SpherePolynomial):
             return NotImplemented
         self._check_same(other)
-        out: dict[TermKey, ComplexFraction] = {}
-        for (mu1, nu1), c1 in self._terms.items():
-            for (mu2, nu2), c2 in other._terms.items():
-                key = (mu1 + mu2, nu1 + nu2)
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return SpherePolynomial(self.dim, out)
+        return _store(self.dim, self._den * other._den, (
+            ((mu1 + mu2, nu1 + nu2), (a * c - b * d, a * d + b * c))
+            for (mu1, nu1), (a, b) in self._parts.items() for (mu2, nu2), (c, d) in other._parts.items()))
 
     def conjugate(self) -> "SpherePolynomial":
         """Complex conjugate: swaps the holomorphic and antiholomorphic indices."""
-        return SpherePolynomial(
-            self.dim,
-            {(nu, mu): c.conjugate() for (mu, nu), c in self._terms.items()},
-        )
+        parts = self._parts.items()
+        return _store(self.dim, self._den, (((nu, mu), (re, -im)) for (mu, nu), (re, im) in parts))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpherePolynomial):
             return NotImplemented
-        return self.dim == other.dim and self._terms == other._terms
+        return self.dim == other.dim and self._den == other._den and self._parts == other._parts
 
     def __hash__(self) -> int:
-        return hash((self.dim, frozenset(self._terms.items())))
+        return hash((self.dim, self._den, frozenset(self._parts.items())))
 
     def __repr__(self) -> str:
         parts = [
@@ -281,7 +266,7 @@ class SpherePolynomial:
             raise DimensionMismatchError(
                 f"point dimension {z.shape[-1]} does not match polynomial dimension {self.dim}"
             )
-        if self._terms:
+        if self._parts:
             acc = self._eval_on(_PowerTable(z), _PowerTable(np.conj(z)))
         else:
             acc = np.zeros((z.shape[0],) if batched else (), dtype=np.complex128)
@@ -289,11 +274,11 @@ class SpherePolynomial:
 
     def _eval_on(self, zp: "_PowerTable", zc: "_PowerTable"):
         """Sum of the terms on the points of the power tables of z and conj(z)."""
-        acc = np.zeros(zp.z.shape[:-1], dtype=np.complex128)
-        for (mu, nu), coeff in self._terms.items():
-            # the ufunc call keeps the coefficient first at every batch length
-            # (monomial_eval says why the operator would not)
-            acc = acc + np.multiply(complex(coeff), zp.monomial(mu)) * zc.monomial(nu)
+        acc, den = np.zeros(zp.z.shape[:-1], dtype=np.complex128), self._den
+        for (mu, nu), (re, im) in self._parts.items():
+            # re / den rounds as complex(ComplexFraction) does; the ufunc call keeps the
+            # coefficient first at every batch length (monomial_eval says why)
+            acc = acc + np.multiply(complex(re / den, im / den), zp.monomial(mu)) * zc.monomial(nu)
         return acc
 
     def to_json_dict(self) -> dict:
@@ -361,7 +346,7 @@ class HolomorphicPolynomial(SpherePolynomial):
 
     @property
     def terms(self) -> dict[MultiIndex, ComplexFraction]:
-        return {mu: coeff for (mu, _), coeff in self._terms.items()}
+        return {mu: self._coeff(*part) for (mu, _), part in self._parts.items()}
 
     @classmethod
     def monomial(cls, dim: int, mu, coeff=1) -> "HolomorphicPolynomial":
@@ -376,7 +361,7 @@ class HolomorphicPolynomial(SpherePolynomial):
 
     def restrict_to_sphere(self) -> SpherePolynomial:
         """The same expression read as boundary data (all nu = 0)."""
-        return SpherePolynomial(self.dim, self._terms)
+        return _store(self.dim, self._den, self._parts.items())
 
     def to_json_dict(self) -> dict:
         return {
@@ -385,6 +370,24 @@ class HolomorphicPolynomial(SpherePolynomial):
                 {"mu": list(mu), **complex_to_strings(c)} for mu, c in self.sorted_terms()
             ],
         }
+
+
+def _store(dim: int, den: int, parts: Parts, into: SpherePolynomial | None = None) -> SpherePolynomial:
+    """Store sum (re + i im) / den zeta^mu conj(zeta)^nu over parts in into, or a new polynomial.
+
+    Repeated keys add up in first-seen order, zero sums go, and the gcd of den and every
+    part is divided out, so den becomes D, the lcm of the reduced denominators.
+    """
+    p = object.__new__(SpherePolynomial) if into is None else into
+    sums: dict[TermKey, tuple[int, int]] = {}
+    for key, (re, im) in parts:
+        x, y = sums.get(key, (0, 0))
+        sums[key] = (x + re, y + im)
+    g = math.gcd(den, *(x for part in sums.values() for x in part))
+    sums = {key: (re // g, im // g) for key, (re, im) in sums.items() if re or im}
+    for slot, value in zip(SpherePolynomial.__slots__, (dim, den // g, sums, None, None, None)):
+        object.__setattr__(p, slot, value)
+    return p
 
 
 class _PowerTable:
@@ -415,14 +418,10 @@ def laplacian(f: SpherePolynomial) -> SpherePolynomial:
     different polynomials here.  A term (mu, nu) maps to
     sum_j mu_j nu_j z^(mu - e_j) conj(z)^(nu - e_j).
     """
-    out: dict[TermKey, ComplexFraction] = {}
-    for (mu, nu), coeff in f._terms.items():
-        for j in range(f.dim):
-            if mu[j] and nu[j]:
-                e = MultiIndex.unit(f.dim, j)
-                key = (mu - e, nu - e)
-                out[key] = out.get(key, ZERO) + coeff * (mu[j] * nu[j])
-    return SpherePolynomial(f.dim, out)
+    return _store(f.dim, f._den, (
+        ((mu - e, nu - e), (re * w, im * w))
+        for (mu, nu), (re, im) in f._parts.items() for j in range(f.dim) if mu[j] and nu[j]
+        for e, w in [(MultiIndex.unit(f.dim, j), mu[j] * nu[j])]))
 
 
 def _mass_sum(terms: Iterable[tuple[tuple[int, ...], int, int]], den: int) -> ComplexFraction:

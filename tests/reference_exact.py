@@ -5,14 +5,83 @@ sweep that tests every (alpha, beta) pair of the index list, and a moment,
 an inner product and a Cauchy projection that visit every term (or pair of
 terms) in Fractions and build a MultiIndex for each; and the choice of the
 worst violation by its exact Fraction gap, which the integer scan replaced.
-They are slow and obviously correct; the tests require the library functions
-to return identical values.
+The ring operations add and multiply ComplexFraction coefficients term by
+term, as before polynomials were stored as Gaussian integers over one
+denominator; each returns the terms of its result in the order it first
+meets them, without the ones that sum to zero.  The float view converts each
+coefficient with complex(ComplexFraction).  They are slow and obviously
+correct; the tests require the library functions to return identical values.
 """
+
+import math
+
+import numpy as np
 
 from balltrace.exact import ZERO
 from balltrace.membership import check_condition
-from balltrace.multiindex import graded_indices, monomial_norm_sq
-from balltrace.polynomials import HolomorphicPolynomial
+from balltrace.multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from balltrace.polynomials import HolomorphicPolynomial, _PowerTable
+
+
+def _accumulate(products):
+    out = {}
+    for key, c in products:
+        out[key] = out.get(key, ZERO) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def reference_add(f, g):
+    return _accumulate([*f.terms.items(), *g.terms.items()])
+
+
+def reference_sub(f, g):
+    return _accumulate([*f.terms.items(), *((k, -c) for k, c in g.terms.items())])
+
+
+def reference_neg(f):
+    return _accumulate((k, -c) for k, c in f.terms.items())
+
+
+def reference_scale(f, factor):
+    return _accumulate((k, c * factor) for k, c in f.terms.items())
+
+
+def reference_mul(f, g):
+    return _accumulate(
+        ((mu1 + mu2, nu1 + nu2), a * b)
+        for (mu1, nu1), a in f.terms.items() for (mu2, nu2), b in g.terms.items()
+    )
+
+
+def reference_conjugate(f):
+    return _accumulate(((nu, mu), c.conjugate()) for (mu, nu), c in f.terms.items())
+
+
+def reference_laplacian(f):
+    out = []
+    for (mu, nu), c in f.terms.items():
+        for j in range(f.dim):
+            if mu[j] and nu[j]:
+                e = MultiIndex.unit(f.dim, j)
+                out.append(((mu - e, nu - e), c * (mu[j] * nu[j])))
+    return _accumulate(out)
+
+
+def reference_eval(f, Z):
+    """f at the rows of Z, summed as SpherePolynomial.eval sums, each coefficient through complex()."""
+    zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
+    acc = np.zeros(Z.shape[0], dtype=np.complex128)
+    for (mu, nu), c in f.terms.items():
+        acc = acc + np.multiply(complex(c), zp.monomial(mu)) * zc.monomial(nu)
+    return acc
+
+
+def reference_masses(f):
+    """{(p, q): sum of |c| over that harmonic component}, each |c|^2 through float(Fraction)."""
+    return {
+        pq: sum(math.sqrt(float(c.abs_sq())) for c in h.terms.values())
+        for pq, h in f.harmonics().items()
+    }
 
 
 def reference_moment(f, alpha, beta):

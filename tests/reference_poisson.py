@@ -29,7 +29,7 @@ def reference_poisson_series(f, z, order):
     x = np.abs(Z) ** 2
     s = np.sum(x, axis=1)
     total = np.zeros(Z.shape[0], dtype=np.complex128)
-    for (mu, nu), coeff in f._terms.items():
+    for (mu, nu), coeff in f.terms.items():
         if mu.degree and nu.degree:
             delta_plus, delta_minus, etas, qs = _mixed_term_plan(mu, nu, order)
             acc = np.zeros(Z.shape[0])

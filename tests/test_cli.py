@@ -421,6 +421,18 @@ class TestRadialScanCommand:
             0, "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n0.5,2,0,0,0,100,0\n", ""
         )
 
+    def test_coefficient_past_float_range_is_one_json_error(self, capsys, tmp_path):
+        # exact data parses; the float side cannot hold a 401-digit coefficient
+        path = tmp_path / "huge.json"
+        term = {"mu": [1, 0], "nu": [0, 1], "re": "1" + "0" * 400 + "/1", "im": "0/1"}
+        path.write_text(json.dumps({"n": 2, "terms": [term]}))
+        assert run(capsys, "radial-scan", "--input", str(path)) == (
+            3,
+            "",
+            '{"error": {"type": "OverflowError", "message": '
+            '"integer division result too large for a float", "exit_code": 3}}\n',
+        )
+
     def test_output_file(self, capsys, coordinate_file, tmp_path):
         dest = tmp_path / "scan.csv"
         code, out, _ = run(

@@ -1,8 +1,14 @@
-"""Every name a library module imports with `from ... import` is used in it.
+"""Every name a library module imports with `from ... import` is used in it,
+and only `polynomials.py` reads the stored form of a SpherePolynomial.
 
 Stdlib `ast` only.  A name counts as used when it appears as a plain name
 anywhere in the module, including inside quoted annotations.  The package
 `__init__.py` is excepted: its imports are the public re-exports.
+
+The stored form is the private slots of SpherePolynomial (the denominator D,
+the Gaussian-integer parts and the caches built from them), read from its
+`__slots__`.  Other modules go through `lines()`, `_integer_lines()` and
+`terms`; an attribute or a string naming one of those slots is a read.
 """
 
 import ast
@@ -54,3 +60,39 @@ def test_guard_catches_an_unused_name():
     source = 'from .exact import ZERO, to_float\n\ndef f(x: "ZERO") -> float:\n    return to_float(x)\n'
     assert unused_imports(source) == []
     assert unused_imports("from .exact import ZERO, to_float\nto_float(1)\n") == ["ZERO"]
+
+
+def stored_slots() -> set[str]:
+    tree = ast.parse((SRC / "polynomials.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "SpherePolynomial")
+    slots = next(
+        n.value for n in cls.body
+        if isinstance(n, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in n.targets)
+    )
+    return {name for name in ast.literal_eval(slots) if name.startswith("_")}
+
+
+def stored_slot_reads(source: str, slots: set[str]) -> list[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return sorted(names & slots)
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in SRC.glob("*.py") if p.name != "polynomials.py"), ids=lambda p: p.name
+)
+def test_only_polynomials_reads_the_stored_form(path):
+    assert stored_slot_reads(path.read_text(encoding="utf-8"), stored_slots()) == []
+
+
+def test_guard_catches_a_stored_slot_read():
+    slots = stored_slots()
+    assert {"_den", "_parts"} <= slots and "dim" not in slots
+    allowed = "den, lines = f._integer_lines()\nterms = f.terms\nn = f.dim\n"
+    assert stored_slot_reads(allowed, slots) == []
+    assert stored_slot_reads("parts = f._parts\n", slots) == ["_parts"]
+    assert stored_slot_reads('den = getattr(f, "_den")\n', slots) == ["_den"]

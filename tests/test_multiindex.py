@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -50,6 +51,15 @@ class TestBasics:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             MultiIndex((1, -1))
+
+    @pytest.mark.parametrize("comps", [(1.5, 0), (1.0, 0), ("1", 0), (0, Fraction(1))])
+    def test_non_integer_components_rejected(self, comps):
+        # int() would turn 1.5 into 1 and "1" into 1 without a word
+        with pytest.raises(TypeError):
+            MultiIndex(comps)
+
+    def test_integer_like_components_accepted(self):
+        assert MultiIndex((np.int64(2), 1)) == (2, 1)
 
     @given(small_dims.flatmap(lambda n: st.tuples(indices(n), indices(n))))
     def test_sub_inverts_add(self, pair):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from balltrace.errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from balltrace.exact import ComplexFraction
+from balltrace.membership import is_boundary_trace
 from balltrace.multiindex import MultiIndex, graded_indices
 from balltrace import sphere
 from balltrace.polynomials import (
@@ -15,11 +17,24 @@ from balltrace.polynomials import (
     SpherePolynomial,
     inner_product,
     l2_norm_sq,
+    laplacian,
     mc_moment,
     moment,
     monomial_integral,
 )
 from balltrace.sphere import CHUNK_DRAWS, SphereSampler, mean_and_stderr, monomial_eval
+
+from reference_exact import (
+    reference_add,
+    reference_conjugate,
+    reference_eval,
+    reference_laplacian,
+    reference_masses,
+    reference_mul,
+    reference_neg,
+    reference_scale,
+    reference_sub,
+)
 
 MI = MultiIndex
 
@@ -157,6 +172,109 @@ class TestAlgebra:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             mono(2, (1, 0), (0, 0)) + mono(3, (1, 0, 0), (0, 0, 0))
+
+    def test_non_integer_exponents_raise(self):
+        # read as int(1.9) = 1, these two keys would merge into 2 zeta_1
+        with pytest.raises(TypeError):
+            SpherePolynomial(2, {((1.9, 0), (0, 0)): 1, ((1, 0), (0, 0)): 1})
+        # read as int(0.5) = 0, conj(zeta_1)^0.5 would be the constant 1, a member
+        with pytest.raises(TypeError):
+            is_boundary_trace(mono(2, (0, 0), (0.5, 0)))
+
+
+@st.composite
+def poly_pairs(draw):
+    dim = draw(st.integers(1, 4))
+    return draw(sphere_polys(dim, max_terms=4)), draw(sphere_polys(dim, max_terms=4))
+
+
+def stored_den(f):
+    return f._integer_lines()[0]
+
+
+def terms_lcm(f):
+    """The lcm of the reduced denominators of f's coefficients (1 for no terms)."""
+    return math.lcm(*(q.denominator for c in f.terms.values() for q in (c.re, c.im)))
+
+
+class TestStoredForm:
+    """A polynomial is stored once, as Gaussian integers over the lcm D of its denominators."""
+
+    @given(poly_pairs(), st.one_of(st.integers(-3, 3), rationals, coeffs))
+    @settings(max_examples=100, deadline=None)
+    def test_ring_operations_match_term_by_term_references(self, pair, factor):
+        f, g = pair
+        cases = [
+            (f + g, reference_add(f, g)),
+            (f - g, reference_sub(f, g)),
+            (-f, reference_neg(f)),
+            (f * g, reference_mul(f, g)),
+            (f.scale(factor), reference_scale(f, factor)),
+            (f.conjugate(), reference_conjugate(f)),
+            (laplacian(f * g), reference_laplacian(f * g)),
+        ]
+        for got, want in cases:
+            # the same terms in the same order: the float side sums in this order
+            assert list(got.terms.items()) == list(want.items())
+            assert stored_den(got) == terms_lcm(got)
+            built = SpherePolynomial(f.dim, want)
+            assert got == built and hash(got) == hash(built)
+
+    @given(poly_pairs())
+    @settings(max_examples=100, deadline=None)
+    def test_equal_exactly_when_terms_are_equal(self, pair):
+        f, g = pair
+        zero = SpherePolynomial.zero(f.dim)
+        for a, b in [(f, g), (f + g - g, f), (f * g, g * f), (f - f, zero), (f.conjugate().conjugate(), f)]:
+            assert (a == b) == (a.terms == b.terms)
+            if a == b:
+                assert hash(a) == hash(b)
+        assert stored_den(f) == terms_lcm(f)
+
+    def test_cancelled_denominators_reduce(self):
+        half = mono(2, (1, 0), (0, 0), Fraction(1, 2))
+        assert stored_den(half) == 2
+        assert stored_den(half + half) == 1 and half + half == mono(2, (1, 0), (0, 0))
+        f = mono(2, (1, 0), (0, 1), ComplexFraction(Fraction(1, 6), Fraction(-3, 4)))
+        assert stored_den(f) == 12
+        assert stored_den(f - f) == 1 and (f - f).is_zero() and f - f == SpherePolynomial.zero(2)
+        assert stored_den(f.scale(12)) == 1 and stored_den(f.scale(0)) == 1
+        assert stored_den(SpherePolynomial.zero(2)) == 1
+
+    def test_inexact_scalar_is_refused(self):
+        with pytest.raises(TypeError):
+            mono(2, (1, 0), (0, 0)).scale(0.5)
+
+
+class TestFloatView:
+    """The float side rounds each stored coefficient once, as complex(ComplexFraction) does."""
+
+    P, Q = 2**61 - 1, 2**89 - 1  # Mersenne primes, coprime to each other and to 3 and 5
+
+    def poly(self):
+        # D = 3 5^40 P Q has 245 bits and no exact float, so rounding the
+        # parts and D apart before dividing changes several of these values
+        p, q = self.P, self.Q
+        return SpherePolynomial(3, {
+            ((2, 1, 0), (1, 0, 0)): ComplexFraction(Fraction(3**70, p), Fraction(-(5**50), q)),
+            ((1, 0, 0), (0, 0, 0)): ComplexFraction(Fraction(7**50, q)),
+            ((0, 1, 2), (0, 0, 1)): ComplexFraction(Fraction(1, 3), Fraction(11**60, p * q)),
+            ((1, 1, 0), (0, 1, 1)): ComplexFraction(Fraction(-(13**40), p * q), Fraction(1, p)),
+            ((0, 0, 0), (0, 2, 1)): ComplexFraction(Fraction(-2, 3), Fraction(17**40, p)),
+            ((0, 0, 1), (1, 1, 0)): ComplexFraction(Fraction(2**100 + 1, 5**40), Fraction(1, 3)),
+        })
+
+    def test_eval_matches_complex_of_each_coefficient(self):
+        f = self.poly()
+        Z = 0.9 * SphereSampler(3, seed=61).sample_batch(64)
+        assert f.eval(Z).tobytes() == reference_eval(f, Z).tobytes()
+        assert f.eval(Z[5]) == reference_eval(f, Z[5:6])[0]
+
+    def test_harmonic_masses_match_float_of_each_abs_sq(self):
+        f = self.poly()
+        got, want = f._harmonic_masses(), reference_masses(f)
+        assert list(got) == list(want) and len(got) > 2
+        assert [x.hex() for x in got.values()] == [x.hex() for x in want.values()]
 
 
 class TestMCMoment:
