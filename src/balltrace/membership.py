@@ -27,30 +27,29 @@ Since ||r||^2 = sum over r's terms of conj(c_{mu,nu}) moment(r, nu, mu) > 0,
 some pair (nu, mu) with |nu|, |mu| <= f.max_degree() is violated, so the
 sweep at order max_degree + 1 always returns a counter-certificate.
 
-moment(r, alpha, beta) can be nonzero only when beta - alpha lies on one of
-r's difference lines d = mu - nu (a subset of f's: C[f] puts its terms on
-f's lines d >= 0), so the scan enumerates, for each alpha, only
-beta = alpha + d over those few lines: O(|indices| * lines) pairs, not
-|indices|^2.  It tests them in integers.  At sweep order N let
-K = N + r.max_degree() and
-  D = lcm of the denominators of r's coefficient parts (r's stored denominator),
-  M = (n-1+K)! / (n-1)!,
-  W(w) = M / multinomial(w) = w! (n-1+K)! / (n-1+|w|)!   (an integer for |w| <= K),
-where multinomial(w) = (n-1+|w|)! / ((n-1)! w!) = 1 / norm_sq(w), so that
-norm_sq(w) = W(w) / M.  Every index met has |w| <= K, and on line
-d = beta - alpha
+moment(r, alpha, beta) can be nonzero only when d = beta - alpha is one of
+r's difference lines mu - nu (a subset of f's: C[f] puts its terms on f's
+lines d >= 0).  With d- = max(-d, 0), d+ = max(d, 0) componentwise and
+h_d = max(|d-|, |d+|), the pairs on line d with |alpha|, |beta| <= N are
+exactly (d- + gamma, d+ + gamma) for |gamma| <= N - h_d, C(N - h_d + n, n) of
+them, and the shift by d- keeps the graded-lex order of gamma: the scan walks
+each line's box and visits only pairs that exist.  At sweep order N let
+K = N + r.max_degree(), D = r's stored denominator (the lcm of those of its
+coefficient parts), M = (n-1+K)! / (n-1)! and, for the indices w met, all
+with |w| <= K, the integers W(w) = M / multinomial(w) = M norm_sq(w).  Then
   S(alpha, d) = sum over the line's terms t of (D c_t) W(alpha + mu_t)
 is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M).
 A pair is violated iff S(alpha, d) != 0, and its exact gap is |S| / (D M)
 for A and |S| / (D W(beta)) for B: ratios of integers with the common
 factor D, so the worst violation is found by cross-multiplying integers,
 ties going to the first pair in graded-lex order, and only the report,
-through check_condition on f, builds Fractions.  W is
-cached for one scan; no factorial table is built.  A scan first estimates its
-work and refuses to start above WORK_BUDGET: C(N + n, n) * (lines of r)
-candidate pairs, each counted once more per whole SIZE_UNIT_BITS bits of M,
-the largest weight of the scan (its bit count comes from lgamma, so nothing
-is built for the estimate).
+through check_condition on f, builds Fractions.  W is cached for one scan.
+A scan refuses to start when its estimate exceeds WORK_BUDGET: its pairs,
+each counted once more per whole SIZE_UNIT_BITS bits of M, its largest
+integer (bits from lgamma: nothing is built for the estimate).  Building M
+takes more than linear time in its size, so a scan is charged for no fewer
+pairs than M has such units: one-term data of high degree has a handful of
+pairs but would build a factorial of 10^8 bits.
 """
 
 from __future__ import annotations
@@ -82,13 +81,11 @@ from .transforms import cauchy_transform_poly
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 64
 
-# Largest condition scan accepted, in units of one candidate pair on small
-# integers: C(order + n, n) * (lines of r) pairs, each counted once more per
-# whole SIZE_UNIT_BITS bits of the scan's integers.  Measured at the budget on
-# a 2-core x86 VM (CPython 3.11): sweep on conj(zeta_1) in n = 1, 2, 3, 4
-# (orders 6720, 498, 112, 47) takes 0.3, 3.6, 4.9 and 5.1 s and 132, 179, 169
-# and 133 MB above the interpreter, check on conj(zeta_1)^4627 in n = 1
-# 0.03 s and under 1 MB; a 20-line input at n = 4, order 6 estimates 4200.
+# Largest condition scan accepted, in units of one pair on small integers
+# (module docstring).  Measured at the budget on a 2-core x86 VM (CPython
+# 3.11): sweep on conj(zeta_1) in n = 1, 2, 3, 4 (orders 6720, 499, 113, 48)
+# takes 0.4, 3.8, 4.8 and 5.8 s and 132, 190, 185 and 153 MB above the
+# interpreter; check on conj(zeta_1)^34947 in n = 1 takes 1.2 s and 2 MB.
 WORK_BUDGET = 250_000
 # A scanned pair holds about 400 bytes of Python objects plus 1.5 to 2
 # integers of the scan's size (peak RSS of scans in n = 1..3), so its
@@ -178,9 +175,8 @@ def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
 
     The integer scan of the residual r = f - C[f] (module docstring) finds
     the violated pairs; only those get a ConditionReport, built through
-    check_condition on f.  A member (r = 0) returns [] without scanning.
-    Raises PreconditionError, before the scan, when its estimate exceeds
-    WORK_BUDGET.
+    check_condition on f.  A member (r = 0) returns [] without scanning; a
+    scan estimated over WORK_BUDGET raises PreconditionError before it starts.
     """
     r = f - cauchy_transform_poly(f)
     if r.is_zero():
@@ -188,20 +184,27 @@ def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
     return [check_condition(f, alpha, beta) for alpha, beta, *_ in _scan(r, max_order)]
 
 
-def _check_budget(r: SpherePolynomial, order: int) -> None:
-    """Refuse a scan of r whose estimate (module docstring) exceeds WORK_BUDGET."""
-    n, lines = r.dim, len(r.lines())
-    pairs = math.comb(order + n, n) * lines
+def _check_budget(r: SpherePolynomial, order: int) -> list[tuple]:
+    """(d, d-, d+, N - h_d) per line of r with a box, graded-lex in d; refuses estimates over WORK_BUDGET."""
+    n, lines = r.dim, r.lines()
+    boxes = []
+    for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d))):
+        low, high = tuple(-x if x < 0 else 0 for x in d), tuple(x if x > 0 else 0 for x in d)
+        size = order - max(sum(low), sum(high))
+        if size >= 0:
+            boxes.append((d, low, high, size))
+    pairs = sum(math.comb(size + n, n) for *_, size in boxes)
     k = order + r.max_degree()
     bits = (math.lgamma(n + k) - math.lgamma(n)) / math.log(2)  # of M = (n-1+K)!/(n-1)!
-    estimate = pairs * (1 + int(bits) // SIZE_UNIT_BITS)
+    units = 1 + int(bits) // SIZE_UNIT_BITS
+    estimate = max(pairs, units) * units
     if estimate > WORK_BUDGET:
         raise PreconditionError(
-            f"a condition scan at order {order} in dimension {n} would form about "
-            f"{pairs} candidate pairs (C(order+n, n) * {lines} lines) on integers of "
-            f"about {int(bits)} bits: {estimate} units of work, above the budget of "
-            f"{WORK_BUDGET}"
+            f"a condition scan at order {order} in dimension {n} would test {pairs} pairs "
+            f"(alpha, beta) on {len(lines)} lines, with integers of about {int(bits)} bits: "
+            f"{estimate} units of work, above the budget of {WORK_BUDGET}"
         )
+    return boxes
 
 
 def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
@@ -209,40 +212,38 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
 
     The exact gap |lhs - rhs|^2 of the pair is (s_re^2 + s_im^2) / (D den)^2
     with D common to all pairs (module docstring); every listed s is nonzero.
-    Raises PreconditionError, before any work, when the scan's estimate
-    exceeds WORK_BUDGET.
+    _check_budget refuses an estimate over WORK_BUDGET before any work.
     """
-    _check_budget(r, order)
-    n = r.dim
-    lines = r.lines()  # (D c) on each line; D is common to every S
+    boxes = _check_budget(r, order)
+    n, lines = r.dim, r.lines()  # (D c) on each line; D is common to every S
     k = order + r.max_degree()
     full = math.perm(n - 1 + k, k)  # M = (n-1+K)!/(n-1)!
-    weights: dict[tuple[int, ...], int] = {}
+    weights: dict[tuple[int, ...], int] = {}  # W(omega) = M / multinomial(omega), for |omega| <= K
 
     def weight(omega: tuple[int, ...]) -> int:
-        # W(omega) = M / multinomial(omega), an integer for |omega| <= K
-        w = weights.get(omega)
-        if w is None:
-            w = weights[omega] = full // _multinomial(omega)
-        return w
+        if omega not in weights:
+            weights[omega] = full // _multinomial(omega)
+        return weights[omega]
 
-    # for a fixed alpha, beta = alpha + d runs in the graded-lex order of d
-    plan = [(d, lines[d], min(d) < 0) for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d)))]
-    indices = graded_indices(n, order)
-    lookup = {idx: idx for idx in indices}
+    indices = graded_indices(n, max((size for *_, size in boxes), default=-1))
     out = []
-    for alpha in indices:
-        for d, terms, kind_a in plan:
-            beta = lookup.get(tuple(map(add, alpha, d)))
-            if beta is None:
-                continue
+    for d, low, high, size in boxes:
+        # alpha = d- + gamma, beta = d+ + gamma, and alpha + mu_t = gamma + (d- + mu_t)
+        shifts = [(tuple(map(add, low, mu)), re, im) for mu, _, re, im in lines[d]]
+        kind_a, shift_beta = any(low), any(high)  # A exactly when d- != 0
+        for gamma in indices[:math.comb(size + n, n)]:  # each box is a prefix of the largest
             s_re = s_im = 0
-            for mu, _, re, im in terms:
-                w = weight(tuple(map(add, alpha, mu)))
+            for shift, re, im in shifts:
+                w = weight(tuple(map(add, gamma, shift)))
                 s_re += re * w
                 s_im += im * w
             if s_re or s_im:  # gap S / (D M) for A, S / (D W(beta)) for B
+                alpha = tuple.__new__(MultiIndex, map(add, gamma, low)) if kind_a else gamma
+                beta = tuple.__new__(MultiIndex, map(add, gamma, high)) if shift_beta else gamma
                 out.append((alpha, beta, s_re, s_im, full if kind_a else weight(beta)))
+    # boxes come graded-lex in d, each graded-lex in alpha; a reverse sort keeps ties in place
+    if len(boxes) > 1:
+        out.sort(key=lambda v: (-sum(v[0]), v[0]), reverse=True)
     return out
 
 
@@ -307,10 +308,8 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     docstring) and escalates by ESCALATION_STEP until some violated condition
     appears.  After MAX_ESCALATIONS steps without one it scans at that order,
     so the search always ends; the certificate records the order where it
-    stopped.  Each step is one integer scan of r (module docstring): the
-    worst violation is picked by integer cross-multiplication and only it
-    gets exact Fractions, through check_condition.  A step whose scan
-    estimate exceeds WORK_BUDGET raises PreconditionError.
+    stopped.  Each step is one integer scan of r (module docstring); a step
+    whose scan estimate exceeds WORK_BUDGET raises PreconditionError.
     """
     g = cauchy_transform_poly(f)
     r = f - g

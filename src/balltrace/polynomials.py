@@ -206,18 +206,19 @@ class SpherePolynomial:
             raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
 
     def __add__(self, other) -> "SpherePolynomial":
+        return self._plus(other, 1)
+
+    def __sub__(self, other) -> "SpherePolynomial":
+        return self._plus(other, -1)
+
+    def _plus(self, other, sign: int) -> "SpherePolynomial":
         if not isinstance(other, SpherePolynomial):
             return NotImplemented
         self._check_same(other)
         den = math.lcm(self._den, other._den)
         return _store(self.dim, den, (
-            (key, (re * m, im * m)) for p in (self, other) for m in [den // p._den]
+            (key, (re * m, im * m)) for p, m in ((self, den // self._den), (other, sign * (den // other._den)))
             for key, (re, im) in p._parts.items()))
-
-    def __sub__(self, other) -> "SpherePolynomial":
-        if not isinstance(other, SpherePolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __neg__(self) -> "SpherePolynomial":
         return _store(self.dim, self._den, ((k, (-re, -im)) for k, (re, im) in self._parts.items()))

@@ -1,7 +1,8 @@
 """Reference implementations of the exact core, kept for equivalence tests.
 
 These are the direct forms the line-keyed code in balltrace replaced: a
-sweep that tests every (alpha, beta) pair of the index list, and a moment,
+sweep that tests every (alpha, beta) pair of the index list, the integer
+scan that tries every alpha of the index list against every line, and a moment,
 an inner product and a Cauchy projection that visit every term (or pair of
 terms) in Fractions and build a MultiIndex for each; and the choice of the
 worst violation by its exact Fraction gap, which the integer scan replaced.
@@ -14,12 +15,13 @@ correct; the tests require the library functions to return identical values.
 """
 
 import math
+from operator import add
 
 import numpy as np
 
 from balltrace.exact import ZERO
 from balltrace.membership import check_condition
-from balltrace.multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from balltrace.multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
 from balltrace.polynomials import HolomorphicPolynomial, _PowerTable
 
 
@@ -128,6 +130,39 @@ def reference_sweep(f, max_order):
             report = check_condition(f, alpha, beta)
             if not report.satisfied:
                 out.append(report)
+    return out
+
+
+def reference_scan(r, order):
+    """membership._scan before it walked each line's box: every alpha of the index
+    list against every line of r, beta = alpha + d looked up in the list."""
+    n, lines = r.dim, r.lines()
+    k = order + r.max_degree()
+    full = math.perm(n - 1 + k, k)
+    weights = {}
+
+    def weight(omega):
+        if omega not in weights:
+            weights[omega] = full // _multinomial(omega)
+        return weights[omega]
+
+    # for a fixed alpha, beta = alpha + d runs in the graded-lex order of d
+    plan = [(d, lines[d], min(d) < 0) for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d)))]
+    indices = graded_indices(n, order)
+    lookup = {idx: idx for idx in indices}
+    out = []
+    for alpha in indices:
+        for d, terms, kind_a in plan:
+            beta = lookup.get(tuple(map(add, alpha, d)))
+            if beta is None:
+                continue
+            s_re = s_im = 0
+            for mu, _, re, im in terms:
+                w = weight(tuple(map(add, alpha, mu)))
+                s_re += re * w
+                s_im += im * w
+            if s_re or s_im:
+                out.append((alpha, beta, s_re, s_im, full if kind_a else weight(beta)))
     return out
 
 

@@ -366,7 +366,7 @@ class TestSweepCommand:
         )
 
     def test_high_dimension(self, capsys, tmp_path):
-        # conj(zeta_1) in n = 2000: 2001 candidate pairs at order 1
+        # conj(zeta_1) in n = 2000: 1 pair at order 1, (alpha, beta) = (e_1, 0)
         path = tmp_path / "conj1.json"
         n = 2000
         term = {"mu": [0] * n, "nu": [1] + [0] * (n - 1), "re": "1/1", "im": "0/1"}
@@ -613,13 +613,17 @@ class TestExitCodes:
         from balltrace import membership
 
         monkeypatch.setattr(membership, "graded_indices", None)  # never enumerated
-        path = tmp_path / "conj400.json"
-        path.write_text('{"n": 3, "terms": [{"mu": [0, 0, 0], "nu": [400, 0, 0], "re": "1/1", "im": "0/1"}]}')
+        # conj(zeta_1) + |zeta_2|^200 in n = 3 scans 358955 pairs at order 101
+        path = tmp_path / "conj_shell.json"
+        path.write_text(json.dumps({"n": 3, "terms": [
+            {"mu": [0, 0, 0], "nu": [1, 0, 0], "re": "1/1", "im": "0/1"},
+            {"mu": [0, 100, 0], "nu": [0, 100, 0], "re": "1/1", "im": "0/1"},
+        ]}))
         start = time.perf_counter()
         code, out, err = run(capsys, "check", "--input", str(path))
         assert code == 2 and out == "" and time.perf_counter() - start < 1.0
         (line,) = err.splitlines()
-        assert json.loads(line)["error"]["type"] == "PreconditionError" and "10908404" in line
+        assert json.loads(line)["error"]["type"] == "PreconditionError" and "358955" in line
 
     def test_huge_decimal_exponent_is_schema_error_quickly(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
@@ -692,7 +696,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("check",),  # conj(zeta_1)^20000 scans at order 20001 on 553824-bit integers
+            ("check",),  # conj(zeta_1)^(10^7): 2 pairs at order 10^7 + 1 on about 4.6e8-bit integers
             ("sweep", "--order", "120000"),
         ],
     )
@@ -701,7 +705,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(membership, "graded_indices", None)  # never enumerated
         path = tmp_path / "conj.json"
-        nu = 20000 if argv[0] == "check" else 1
+        nu = 10**7 if argv[0] == "check" else 1
         path.write_text('{"n": 1, "terms": [{"mu": [0], "nu": [%d], "re": "1/1", "im": "0/1"}]}' % nu)
         start = time.perf_counter()
         code, out, err = run(capsys, argv[0], "--input", str(path), *argv[1:])
@@ -710,14 +714,28 @@ class TestExitCodes:
         assert json.loads(line)["error"]["type"] == "PreconditionError" and "bits" in line
 
     def test_one_term_scan_is_charged_for_pairs_only(self, capsys, tmp_path):
-        # conj(zeta_1)^4000 in n = 1: 4002 pairs on integers of about 92000 bits,
-        # 184092 units; charging the K = 8001 weights as well refused it
+        # conj(zeta_1)^4000 in n = 1: 2 pairs on integers of about 92000 bits,
+        # charged as 46 * 46 = 2116 units; charging the K = 8001 weights as well refused it
         path = tmp_path / "conj4000.json"
         path.write_text('{"n": 1, "terms": [{"mu": [0], "nu": [4000], "re": "1/1", "im": "0/1"}]}')
         start = time.perf_counter()
         code, out, err = run(capsys, "check", "--input", str(path))
         assert code == 0 and err == "" and time.perf_counter() - start < 1.0
         assert json.loads(out)["violation_order"] == 4001
+
+    @pytest.mark.parametrize("n, m", [(3, 400), (1, 20000)])
+    def test_high_degree_one_term_check_exits_0(self, capsys, tmp_path, n, m):
+        # conj(zeta_1)^m has one line, whose box at order m + 1 holds 4 and 2
+        # pairs; C(order + n, n) candidates (10908404 for n = 3) refused both
+        path = tmp_path / "conj.json"
+        nu = [m] + [0] * (n - 1)
+        path.write_text(json.dumps({"n": n, "terms": [{"mu": [0] * n, "nu": nu, "re": "1/1", "im": "0/1"}]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--input", str(path))
+        assert code == 0 and err == "" and time.perf_counter() - start < 5.0
+        cert = json.loads(out)
+        assert cert["member"] is False and cert["violation_order"] == m + 1
+        assert cert["violation"]["alpha"] == nu and cert["violation"]["beta"] == [0] * n
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -1,5 +1,6 @@
 """Every name a library module imports with `from ... import` is used in it,
-and only `polynomials.py` reads the stored form of a SpherePolynomial.
+only `polynomials.py` reads the stored form of a SpherePolynomial, and the
+certificate checker `tests/certcheck.py` imports from the standard library only.
 
 Stdlib `ast` only.  A name counts as used when it appears as a plain name
 anywhere in the module, including inside quoted annotations.  The package
@@ -96,3 +97,29 @@ def test_guard_catches_a_stored_slot_read():
     assert stored_slot_reads(allowed, slots) == []
     assert stored_slot_reads("parts = f._parts\n", slots) == ["_parts"]
     assert stored_slot_reads('den = getattr(f, "_den")\n', slots) == ["_den"]
+
+
+CERTCHECK_IMPORTS = {"fractions", "math"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement names; a relative import counts as "." plus its module."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out.add("." * node.level + (node.module or ""))
+    return out
+
+
+def test_certcheck_imports_nothing_from_balltrace():
+    source = (SRC.parent.parent / "tests" / "certcheck.py").read_text(encoding="utf-8")
+    assert imported_modules(source) <= CERTCHECK_IMPORTS
+
+
+def test_guard_catches_a_balltrace_import():
+    assert imported_modules("import math\nfrom fractions import Fraction\n") <= CERTCHECK_IMPORTS
+    for source in ("import balltrace\n", "from balltrace.exact import ZERO\n", "from . import membership\n",
+                   "def f():\n    import balltrace.membership as m\n"):
+        assert not imported_modules(source) <= CERTCHECK_IMPORTS

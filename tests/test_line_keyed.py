@@ -3,18 +3,20 @@
 moment, inner_product, l2_norm_sq, cauchy_transform_poly and sweep visit
 only the difference lines d = mu - nu of a polynomial, and all of them sum
 in integers (the integer line kernel of polynomials); tests/reference_exact.py
-keeps the forms that visit every term and every pair in Fractions, and the
-choice of the worst violation by its exact Fraction gap.  Exact arithmetic
-makes the comparison an identity, not a tolerance.
+keeps the forms that visit every term and every pair in Fractions, the scan
+that tries every alpha against every line, and the choice of the worst
+violation by its exact Fraction gap.  Exact arithmetic makes the comparison
+an identity, not a tolerance.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balltrace.exact import ComplexFraction
-from balltrace.membership import is_boundary_trace, sweep, szego_residual
+from balltrace.membership import _check_budget, _scan, is_boundary_trace, sweep, szego_residual
 from balltrace.multiindex import MultiIndex, graded_indices
 from balltrace.polynomials import (
     HolomorphicPolynomial,
@@ -29,6 +31,7 @@ from reference_exact import (
     reference_cauchy,
     reference_inner_product,
     reference_moment,
+    reference_scan,
     reference_sweep,
     reference_worst,
 )
@@ -102,6 +105,22 @@ def test_inner_product_matches_reference(pair):
 def test_sweep_matches_reference(f, data):
     order = data.draw(st.integers(0, f.max_degree() + 2))
     assert sweep(f, order) == reference_sweep(f, order)
+
+
+def existing_pairs(r, order):
+    """Pairs (alpha, beta) with |alpha|, |beta| <= order and beta - alpha on a line of r, counted directly."""
+    lines, indices = set(r.lines()), graded_indices(r.dim, order)
+    return sum(tuple(b - a for a, b in zip(alpha, beta)) in lines for alpha in indices for beta in indices)
+
+
+@given(st.one_of(polys(), wide_polys()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_scan_walks_the_pairs_that_exist(f, data):
+    r = f - cauchy_transform_poly(f)
+    order = data.draw(st.integers(0, f.max_degree() + 2))
+    assert _scan(r, order) == reference_scan(r, order)  # alpha, beta, s_re, s_im, den
+    n = r.dim
+    assert sum(math.comb(size + n, n) for *_, size in _check_budget(r, order)) == existing_pairs(r, order)
 
 
 @given(polys(), st.one_of(st.none(), st.integers(0, 5)))

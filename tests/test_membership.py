@@ -283,7 +283,8 @@ class TestOneDimensionalReduction:
 class TestWorkBudget:
     def test_benchmark_sizes_fit(self):
         # the largest certify input (n = 4, order 6, at most 20 lines) and a
-        # 61-term n = 4 degree-6 non-member at order 7
+        # 61-term n = 4 degree-6 non-member at order 7; C(order + n, n) pairs
+        # per line bound each line's box from above
         assert math.comb(6 + 4, 4) * 20 < WORK_BUDGET
         assert math.comb(7 + 4, 4) * 61 < WORK_BUDGET
 
@@ -292,37 +293,39 @@ class TestWorkBudget:
             raise AssertionError("the index list was built")
 
         monkeypatch.setattr(membership, "graded_indices", no_enumeration)
-        f = mono(3, (0, 0, 0), (400, 0, 0))  # C(404, 3) indices at order 401
-        for run in (lambda: sweep(f, 401), lambda: is_boundary_trace(f)):
-            with pytest.raises(PreconditionError, match="10908404 candidate pairs"):
+        # conj(zeta_1) + |zeta_2|^200 in n = 3 at order 101: C(103, 3) pairs on
+        # the line -e_1 and C(104, 3) on the line 0, 358955 in all
+        f = mono(3, (0, 0, 0), (1, 0, 0)) + mono(3, (0, 100, 0), (0, 100, 0))
+        for run in (lambda: sweep(f, 101), lambda: is_boundary_trace(f)):
+            with pytest.raises(PreconditionError, match="358955 pairs"):
                 run()
 
     def test_estimate_counts_lines(self, monkeypatch):
         monkeypatch.setattr(membership, "graded_indices", None)
-        # f has two lines; its residual r = conj(zeta_1), the scanned polynomial, one
-        f = mono(1, (0,), (1,)) + mono(1, (1,), (0,))
-        order = WORK_BUDGET // 2
-        with pytest.raises(PreconditionError, match=rf"{order + 1} candidate pairs \(C\(order\+n, n\) \* 1 lines\)"):
-            sweep(f, order)
+        # f has two lines; its residual r = conj(zeta_1), the scanned polynomial,
+        # one, whose box at order 120 in n = 3 holds C(122, 3) = 295240 pairs
+        f = mono(3, (0, 0, 0), (1, 0, 0)) + mono(3, (1, 0, 0), (0, 0, 0))
+        with pytest.raises(PreconditionError, match=r"295240 pairs \(alpha, beta\) on 1 lines"):
+            sweep(f, 120)
 
     def test_member_sweep_returns_before_the_budget(self, monkeypatch):
         monkeypatch.setattr(membership, "graded_indices", None)
-        # f's own lines would estimate C(404, 3) = 10908404 pairs; its residual is 0
-        assert sweep(mono(3, (400, 0, 0), (0, 0, 0)), 401) == []
+        # f's own line would hold C(122, 3) = 295240 pairs at order 120; its residual is 0
+        assert sweep(mono(3, (1, 0, 0), (0, 0, 0)), 120) == []
         g = random_holomorphic_poly(np.random.default_rng(21), 21, 3).restrict_to_sphere()
         assert sweep(g, g.max_degree() + 2) == []
 
     def test_integers_of_a_few_thousand_bits_pass(self):
         # conj(zeta_1)^2000 in n = 1: order 2001, K = 4001, integers of about
-        # 42000 bits, estimate 2002 * 21 = 42042 units; about 0.05 s
+        # 42000 bits; 2 pairs, charged as 21 * 21 = 441 units; about 0.05 s
         cert = is_boundary_trace(mono(1, (0,), (2000,)))
         assert not cert.member and cert.violation_order == 2001
 
     @pytest.mark.parametrize(
         "run",
         [
-            lambda: is_boundary_trace(mono(1, (0,), (20000,))),  # 20002 pairs, 553824-bit integers
-            lambda: sweep(mono(1, (0,), (1,)), 120_000),  # 120001 pairs, 1851624-bit integers
+            lambda: is_boundary_trace(mono(1, (0,), (10**7,))),  # 2 pairs, about 4.6e8-bit integers
+            lambda: sweep(mono(1, (0,), (1,)), 120_000),  # 120000 pairs, 1851624-bit integers
         ],
     )
     def test_integer_size_is_budgeted(self, monkeypatch, run):
@@ -331,6 +334,18 @@ class TestWorkBudget:
         with pytest.raises(PreconditionError, match="bits"):
             run()
         assert time.perf_counter() - start < 1.0
+
+    def test_building_m_is_charged(self, monkeypatch):
+        monkeypatch.setattr(membership, "graded_indices", None)
+        # conj(zeta_1)^(10^6) in n = 1: no pair at order 0 and 2 at the default
+        # order 10^6 + 1, but M = K! has about 1.8e7 and 3.9e7 bits there (the
+        # order-0 scan built it in 19 s); M counts as one pair per 2048 bits of it
+        f = mono(1, (0,), (10**6,))
+        for run, pairs in ((lambda: sweep(f, 0), 0), (lambda: is_boundary_trace(f), 2)):
+            start = time.perf_counter()
+            with pytest.raises(PreconditionError, match=f"would test {pairs} pairs"):
+                run()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestSphereRelationInvariance:
