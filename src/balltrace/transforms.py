@@ -43,10 +43,12 @@ form P[h](z) = 2F1(p, q; p+q+n; s) / 2F1(p, q; p+q+n; 1) h(z) (Rudin,
 Function Theory in the Unit Ball of C^n, the chapter on H(p,q)); for p = 0
 or q = 0 the series is G_(N - p - q) and the factor is 1.  Evaluation is a
 scalar series per component at each distinct |z|^2, so its cost does not
-grow with the radius beyond the order.  Truncation tails are certified per
-component by a scalar geometric majorant (the ratio above is nonincreasing
-in i) plus a normalizer-truncation term; order selection iterates until the
-summed bound fits the requested tolerance.
+grow with the radius beyond the order.  On a slice z = r zeta of sphere
+points h(z) = r^(p+q) h(zeta) and |z|^2 = r^2, so radial_scan evaluates the
+components once per sample batch and each radius is one weighted sum of
+them.  Truncation tails are certified per component by a scalar geometric
+majorant (the ratio above is nonincreasing in i) plus a normalizer-truncation
+term; order selection iterates until the summed bound fits the tolerance.
 """
 
 from __future__ import annotations
@@ -234,16 +236,19 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
         raise DomainError("Poisson series requires |z| < 1 for every point")
 
     levels, where = np.unique(s, return_inverse=True)
-    parts = f.harmonics()
-    radial = _radial_sums(levels, [(p, q, order - max(p, q)) for p, q in parts], f.dim)
-    normalizer = _binom_partial_sums(levels, (order,), f.dim)[order]
-
+    radial, normalizer = _series_sums(f, levels, order)
     zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
     total = np.zeros(Z.shape[0], dtype=np.complex128)
-    for col, h in enumerate(parts.values()):
+    for col, h in enumerate(f.harmonics().values()):
         total = total + radial[where, col] * h._eval_on(zp, zc)
     result = total / normalizer[where]
     return result if batched else complex(result[0])
+
+
+def _series_sums(f: SpherePolynomial, s: np.ndarray, order: int):
+    """(S_(p,q) cut at order - max(p, q) for each component of f, G_order) at every s."""
+    radial = _radial_sums(s, [(p, q, order - max(p, q)) for p, q in f.harmonics()], f.dim)
+    return radial, _binom_partial_sums(s, (order,), f.dim)[order]
 
 
 def poisson_series_tail(f: SpherePolynomial, radius: float, order: int) -> float:
@@ -356,7 +361,9 @@ def radial_scan(
     All radii share one sample set (common random numbers), which is what
     makes the decrease of lp_error along increasing radii visible at modest
     sample counts.  The Poisson values come from the truncated series with
-    order selected so the certified tail is below RADIAL_TAIL_TOL.
+    order selected so the certified tail is below RADIAL_TAIL_TOL: f's H(p,q)
+    components are evaluated once on the batch, and the slice at r weighs
+    each by r^(p+q) S_(p,q)(r^2) / G(r^2).
     """
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"exponent must be finite with p >= 1, got {p}")
@@ -367,11 +374,17 @@ def radial_scan(
     if sampler.dim != f.dim:
         raise DimensionMismatchError("sampler dimension does not match polynomial")
     batch = sampler.sample_batch(n_samples)
-    boundary = f.eval(batch)
+    zp, zc = _PowerTable(batch), _PowerTable(np.conj(batch))
+    boundary = f._eval_on(zp, zc)
+    values = [(sum(bidegree), h._eval_on(zp, zc)) for bidegree, h in f.harmonics().items()]
     rows = []
     for r in radii:
         order = choose_poisson_order(f, r)
-        slice_vals = poisson_series_eval(f, r * batch, order)
+        radial, normalizer = _series_sums(f, np.array([r * r]), order)
+        # elementwise, not a BLAS product: the same bits with any BLAS or thread count
+        slice_vals = np.zeros(n_samples, dtype=np.complex128)
+        for (degree, h_vals), weight in zip(values, radial[0] / normalizer[0]):
+            slice_vals = slice_vals + r ** degree * weight * h_vals
         err, err_se = _lp_estimate(slice_vals - boundary, p)
         norm_r, _ = _lp_estimate(slice_vals, p)
         rows.append(

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balltrace.errors import ConvergenceError, DomainError
 from balltrace.exact import ComplexFraction
@@ -20,6 +22,9 @@ from balltrace.transforms import (
     poisson_transform_mc,
     radial_scan,
 )
+
+from reference_poisson import reference_radial_rows
+from test_line_keyed import coeffs
 
 MI = MultiIndex
 
@@ -252,7 +257,47 @@ class TestOrderSelection:
         assert choose_poisson_order(SpherePolynomial.zero(2), 0.9, 1e-8) == 0
 
 
+@st.composite
+def radial_data(draw):
+    """Holomorphic, antiholomorphic or mixed data of degree <= 3 in n = 1..4."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["holo", "anti", "mixed"]))
+    pool = graded_indices(dim, 3)
+    zero = MI((0,) * dim)
+    pick = st.sampled_from(pool)
+    pairs = {
+        "holo": st.tuples(pick, st.just(zero)),
+        "anti": st.tuples(st.just(zero), pick),
+        "mixed": st.tuples(pick, pick),
+    }[kind]
+    terms = draw(st.lists(st.tuples(pairs, coeffs), min_size=1, max_size=6))
+    return SpherePolynomial(dim, dict(terms))
+
+
 class TestRadialScan:
+    @given(
+        radial_data(), st.integers(2, 300), st.integers(0, 2**31 - 1), st.sampled_from([1.0, 2.0, 3.5])
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_radius_reference(self, f, n_samples, seed, p):
+        # radii 0, 0.5 (twice) and 0.99 on one shared batch
+        radii = [0.0, 0.5, 0.99, 0.5]
+        rows = radial_scan(f, p, radii, SphereSampler(f.dim, seed), n_samples)
+        want = reference_radial_rows(f, p, radii, SphereSampler(f.dim, seed), n_samples)
+        for row, ref in zip(rows, want, strict=True):
+            assert (row.r, row.p, row.samples, row.seed) == (ref.r, ref.p, n_samples, seed)
+            assert abs(row.lp_error - ref.lp_error) <= 1e-12 * ref.lp_error + 1e-15
+            assert abs(row.lp_norm_r - ref.lp_norm_r) <= 1e-12 * ref.lp_norm_r + 1e-15
+            # a spread of nearly equal |slice - f|^p cancels; its rounding scales with lp_error
+            scale = ref.lp_error_stderr + ref.lp_error
+            assert abs(row.lp_error_stderr - ref.lp_error_stderr) <= 1e-12 * scale + 1e-15
+
+    def test_constant_data_has_zero_error(self):
+        f = mono(3, (0, 0, 0), (0, 0, 0), ComplexFraction(Fraction(7, 3), Fraction(-1, 5)))
+        for row in radial_scan(f, 2.0, [0.0, 0.5, 0.99], SphereSampler(3, 11), 1_000):
+            assert row.lp_error == 0.0
+            assert row.lp_error_stderr == 0.0
+
     def test_antiholomorphic_coordinate_error_law(self):
         # P[conj(zeta_1)]_r = r conj(zeta_1), so the L2 error is (1-r)/sqrt(2)
         f = mono(2, (0, 0), (1, 0))
