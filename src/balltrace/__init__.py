@@ -29,6 +29,7 @@ from .polynomials import (
     HolomorphicPolynomial,
     MCEstimate,
     SpherePolynomial,
+    cauchy_transform_poly,
     inner_product,
     l2_distance_sq,
     l2_norm_sq,
@@ -40,7 +41,6 @@ from .kernels import KernelTruncation, cauchy_kernel, cauchy_series, poisson_ker
 from .transforms import (
     RadialScanRow,
     cauchy_transform_mc,
-    cauchy_transform_poly,
     choose_poisson_order,
     poisson_series_eval,
     poisson_series_tail,

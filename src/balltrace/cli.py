@@ -39,9 +39,9 @@ from .generators import random_holomorphic_poly, random_nonmember_poly
 from .kernels import cauchy_kernel, cauchy_series, poisson_kernel
 from .membership import WORK_BUDGET, is_boundary_trace, sweep, szego_residual
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
-from .polynomials import SpherePolynomial, mc_moment, moment
+from .polynomials import SpherePolynomial, cauchy_transform_poly, mc_moment, moment
 from .sphere import _MASK64, SphereSampler
-from .transforms import RADIAL_CSV_HEADER, cauchy_transform_poly, poisson_transform_mc, radial_scan
+from .transforms import RADIAL_CSV_HEADER, poisson_transform_mc, radial_scan
 
 EXIT_OK = 0
 EXIT_IO = 4

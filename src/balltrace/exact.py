@@ -189,7 +189,12 @@ _RATIONAL = re.compile(r"\s*([+-]?[0-9]+)(?:/([0-9]+))?\s*")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "num/den" (or a bare integer string) into a Fraction.
+    """Parse "num/den" (or a bare integer string) into a Fraction."""
+    return Fraction(*_split_rational(text))
+
+
+def _split_rational(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of "num/den" (or a bare integer string) as written, unreduced.
 
     The grammar is an optionally signed decimal integer, an optional
     "/denominator" of decimal digits, and surrounding whitespace; anything
@@ -202,9 +207,12 @@ def parse_rational(text: str) -> Fraction:
     if match is None:
         raise SchemaError(f"invalid rational literal {text!r}: expected \"p/q\" or an integer")
     try:
-        return Fraction(int(match[1]), int(match[2] or 1))
+        num, den = int(match[1]), int(match[2] or 1)
+        if not den:  # the text Fraction(num, 0) raises
+            raise ZeroDivisionError(f"Fraction({num}, 0)")
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"invalid rational literal {text!r}: {exc}") from exc
+    return num, den
 
 
 def format_float(x: float) -> str:

@@ -16,7 +16,8 @@ negation of "beta dominates alpha".
 Membership itself is decided in finite exact arithmetic through the Cauchy
 (Szego) projection C[f]: f is a trace iff the exact L2 norm of the residual
 r = f - C[f] vanishes, in which case C[f] is the holomorphic extension
-witness; C[f] and ||r||^2 come from the integer line kernel of polynomials.
+witness; C[f] (polynomials.cauchy_transform_poly) and ||r||^2 come from the
+integer line kernel of polynomials.
 The conditions are linear and C[f] satisfies all of them, so they
 hold for f exactly when they hold for r.  r is orthogonal to every
 holomorphic monomial (Rudin, Function Theory in the Unit Ball of C^n, ch. 6),
@@ -38,11 +39,13 @@ K = N + r.max_degree(), D = r's stored denominator (the lcm of those of its
 coefficient parts), M = (n-1+K)! / (n-1)! and, for the indices w met, all
 with |w| <= K, the integers W(w) = M / multinomial(w) = M norm_sq(w).  Then
   S(alpha, d) = sum over the line's terms t of (D c_t) W(alpha + mu_t)
-is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M).
-A pair is violated iff S(alpha, d) != 0, and its exact gap is |S| / (D M)
-for A and |S| / (D W(beta)) for B: ratios of integers with the common
-factor D, so the worst violation is found by cross-multiplying integers,
-ties going to the first pair in graded-lex order, and only the report,
+is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M),
+and a pair is violated iff S != 0.  Every W(w) is a multiple of G = M / L,
+L the lcm of the multinomials of the w met, so s = S / G is a Gaussian
+integer of about L's size (L = 1 in n = 1) with moment = s / (D L).  The
+gap is |s| / (D L) for A and |s| multinomial(beta) / (D L) for B, so the
+worst violation has the largest |s|^2 c, c = 1 for A and multinomial(beta)^2
+for B, ties going to the first pair in graded-lex order; only its report,
 through check_condition on f, builds Fractions.  W is cached for one scan.
 A scan refuses to start when its estimate exceeds WORK_BUDGET: its pairs,
 each counted once more per whole SIZE_UNIT_BITS bits of M, its largest
@@ -57,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, le
 
 from .errors import PreconditionError
 from .exact import (
@@ -70,13 +73,7 @@ from .exact import (
     format_rational,
 )
 from .multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
-from .polynomials import (
-    HolomorphicPolynomial,
-    SpherePolynomial,
-    l2_norm_sq,
-    moment,
-)
-from .transforms import cauchy_transform_poly
+from .polynomials import HolomorphicPolynomial, SpherePolynomial, cauchy_transform_poly, l2_norm_sq, moment
 
 ESCALATION_STEP = 2
 MAX_ESCALATIONS = 64
@@ -208,10 +205,9 @@ def _check_budget(r: SpherePolynomial, order: int) -> list[tuple]:
 
 
 def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
-    """Violated pairs of the residual r up to order as (alpha, beta, s_re, s_im, den), graded-lex.
+    """Violated pairs of the residual r up to order as (alpha, beta, s_re, s_im), graded-lex.
 
-    The exact gap |lhs - rhs|^2 of the pair is (s_re^2 + s_im^2) / (D den)^2
-    with D common to all pairs (module docstring); every listed s is nonzero.
+    s = S / G: moment(r, alpha, beta) = (s_re + i s_im) / (D L) (module docstring); every s is nonzero.
     _check_budget refuses an estimate over WORK_BUDGET before any work.
     """
     boxes = _check_budget(r, order)
@@ -219,10 +215,12 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
     k = order + r.max_degree()
     full = math.perm(n - 1 + k, k)  # M = (n-1+K)!/(n-1)!
     weights: dict[tuple[int, ...], int] = {}  # W(omega) = M / multinomial(omega), for |omega| <= K
+    multinomials = []  # of the omega met, for L
 
     def weight(omega: tuple[int, ...]) -> int:
         if omega not in weights:
-            weights[omega] = full // _multinomial(omega)
+            multinomials.append(_multinomial(omega))
+            weights[omega] = full // multinomials[-1]
         return weights[omega]
 
     indices = graded_indices(n, max((size for *_, size in boxes), default=-1))
@@ -237,25 +235,25 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
                 w = weight(tuple(map(add, gamma, shift)))
                 s_re += re * w
                 s_im += im * w
-            if s_re or s_im:  # gap S / (D M) for A, S / (D W(beta)) for B
+            if s_re or s_im:
                 alpha = tuple.__new__(MultiIndex, map(add, gamma, low)) if kind_a else gamma
                 beta = tuple.__new__(MultiIndex, map(add, gamma, high)) if shift_beta else gamma
-                out.append((alpha, beta, s_re, s_im, full if kind_a else weight(beta)))
+                out.append((alpha, beta, s_re, s_im))
     # boxes come graded-lex in d, each graded-lex in alpha; a reverse sort keeps ties in place
     if len(boxes) > 1:
         out.sort(key=lambda v: (-sum(v[0]), v[0]), reverse=True)
-    return out
+    g = full // math.lcm(*multinomials)  # G = M / L
+    return [(alpha, beta, s_re // g, s_im // g) for alpha, beta, s_re, s_im in out]
 
 
 def _worst_pair(violations: list[tuple]) -> tuple[MultiIndex, MultiIndex]:
-    """(alpha, beta) of the largest exact gap; ties go to the first in graded-lex order."""
-    alpha, beta, x_re, x_im, den = violations[0]
-    top, bottom = x_re * x_re + x_im * x_im, den * den
-    for a, b, x_re, x_im, den in violations[1:]:
-        gap = x_re * x_re + x_im * x_im
-        if gap * bottom > top * den * den:
-            alpha, beta, top, bottom = a, b, gap, den * den
-    return alpha, beta
+    """(alpha, beta) of the largest |s|^2 c (module docstring); ties go to the first, graded-lex."""
+    def size(v: tuple) -> int:
+        alpha, beta, s_re, s_im = v
+        c = _multinomial(beta) if all(map(le, alpha, beta)) else 1  # B exactly when beta dominates alpha
+        return (s_re * s_re + s_im * s_im) * c * c
+
+    return max(violations, key=size)[:2]
 
 
 def szego_residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial]:

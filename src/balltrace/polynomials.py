@@ -15,10 +15,10 @@ arithmetic.  A term zeta^mu conj(zeta)^nu pairs nontrivially with
 zeta^alpha conj(zeta)^beta only when beta - alpha = mu - nu, so every
 polynomial groups its terms by difference line d = mu - nu, and a moment
 visits only the terms on the one line that can contribute.  One integer
-line kernel is the exact pairing: the stored integers on each line over D
-(_integer_lines), summed as N_w / multinomial(w) in integers (_mass_sum);
-moment, inner_product (so L2 norms) and the Cauchy projection of transforms
-build Fractions only for their values.
+line kernel is the exact pairing: the stored integers on each line over D,
+summed as N_w / multinomial(w) in integers (_line_sum); moment and
+inner_product (so L2 norms) build Fractions only for their values, and the
+Cauchy projection C[f] (cauchy_transform_poly) and the parser build none.
 
 The exact Laplacian sum_j d/dz_j d/dconj(z_j) splits f on the sphere into
 bigraded harmonic components H(p,q) (SpherePolynomial.harmonics), the
@@ -44,7 +44,7 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from .errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
-from .exact import ComplexFraction, ZERO, complex_from_strings, complex_to_strings
+from .exact import ComplexFraction, _split_rational, complex_to_strings
 from .multiindex import MultiIndex, _multinomial, monomial_norm_sq
 from .sphere import SphereSampler, _coords, fold_mean_and_stderr, monomial_eval
 
@@ -102,7 +102,7 @@ class SpherePolynomial:
         """Terms grouped by difference line: {mu - nu: ((mu, nu, D re, D im), ...)}.
 
         A line d is a plain int tuple and may have negative components; the
-        parts are over D = _integer_lines()[0].  Built on first use and kept
+        parts are over the stored denominator D.  Built on first use and kept
         for the polynomial's life (the terms never change); read-only.
         """
         if self._lines is None:
@@ -113,10 +113,6 @@ class SpherePolynomial:
                 self, "_lines", MappingProxyType({d: tuple(g) for d, g in groups.items()})
             )
         return self._lines
-
-    def _integer_lines(self) -> tuple[int, Mapping[Line, tuple[tuple[MultiIndex, MultiIndex, int, int], ...]]]:
-        """(D, lines()): D is the one denominator of every part, the lcm of all denominators."""
-        return self._den, self.lines()
 
     def harmonics(self) -> Mapping[tuple[int, int], "SpherePolynomial"]:
         """Bigraded harmonic components on the sphere: {(p, q): h}, sorted by (p, q).
@@ -293,7 +289,7 @@ class SpherePolynomial:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpherePolynomial":
-        """Read a (mu, nu)-keyed document; always builds a SpherePolynomial."""
+        """Read a (mu, nu)-keyed document, its literals over their lcm; always a SpherePolynomial."""
         if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
             raise SchemaError("polynomial document must have keys 'n' and 'terms'")
         dim = doc["n"]
@@ -301,7 +297,7 @@ class SpherePolynomial:
             raise SchemaError(f"'n' must be a positive integer, got {dim!r}")
         if not isinstance(doc["terms"], list):
             raise SchemaError("'terms' must be a list")
-        terms: dict[TermKey, ComplexFraction] = {}
+        terms = []
         for i, entry in enumerate(doc["terms"]):
             if not isinstance(entry, dict) or not {"mu", "nu", "re", "im"} <= set(entry):
                 raise SchemaError(f"term #{i} must have keys mu, nu, re, im, got {entry!r}")
@@ -323,10 +319,10 @@ class SpherePolynomial:
                 raise SchemaError(
                     f"term #{i}: exponent dimension {mu.dim}/{nu.dim} does not match n={dim}"
                 )
-            coeff = complex_from_strings(entry)
-            key = (mu, nu)
-            terms[key] = terms.get(key, ZERO) + coeff
-        return SpherePolynomial(dim, terms)
+            terms.append(((mu, nu), _split_rational(entry["re"]) + _split_rational(entry["im"])))
+        den = math.lcm(*(q for _, (_, b, _, e) in terms for q in (b, e)))
+        return _store(dim, den, (
+            (key, (a * (den // b), c * (den // e))) for key, (a, b, c, e) in terms))
 
 
 class HolomorphicPolynomial(SpherePolynomial):
@@ -425,16 +421,20 @@ def laplacian(f: SpherePolynomial) -> SpherePolynomial:
         for e, w in [(MultiIndex.unit(f.dim, j), mu[j] * nu[j])]))
 
 
-def _mass_sum(terms: Iterable[tuple[tuple[int, ...], int, int]], den: int) -> ComplexFraction:
-    """Sum over (w, re, im) of (re + i im) / (den multinomial(w)), exact.
+def _line_sum(terms: Iterable[tuple[tuple[int, ...], int, int]]) -> tuple[int, int, int]:
+    """(x, y, L) with sum over (w, re, im) of (re + i im) / multinomial(w) = (x + i y) / L.
 
-    Integers over L, the lcm of the multinomials met, not over a factorial
-    bound: in n = 1 every multinomial is 1, so zeta_1^(10^6) stays small.
+    L is the lcm of the multinomials met, not a factorial bound: in n = 1
+    every multinomial is 1, so zeta_1^(10^6) stays small.
     """
     parts = [(_multinomial(w), re, im) for w, re, im in terms]
     lcm = math.lcm(*(m for m, _, _ in parts))
-    x = sum(re * (lcm // m) for m, re, _ in parts)
-    y = sum(im * (lcm // m) for m, _, im in parts)
+    return sum(re * (lcm // m) for m, re, _ in parts), sum(im * (lcm // m) for m, _, im in parts), lcm
+
+
+def _mass_sum(terms: Iterable[tuple[tuple[int, ...], int, int]], den: int) -> ComplexFraction:
+    """Sum over (w, re, im) of (re + i im) / (den multinomial(w)), exact."""
+    x, y, lcm = _line_sum(terms)
     return ComplexFraction(Fraction(x, den * lcm), Fraction(y, den * lcm))
 
 
@@ -449,9 +449,8 @@ def moment(f: SpherePolynomial, alpha: MultiIndex, beta: MultiIndex) -> ComplexF
         raise DimensionMismatchError(
             f"index dimension {len(alpha)}/{len(beta)} does not match polynomial dimension {f.dim}"
         )
-    den, lines = f._integer_lines()
-    line = lines.get(tuple(map(sub, beta, alpha)), ())
-    return _mass_sum(((tuple(map(add, alpha, mu)), re, im) for mu, _, re, im in line), den)
+    line = f.lines().get(tuple(map(sub, beta, alpha)), ())
+    return _mass_sum(((tuple(map(add, alpha, mu)), re, im) for mu, _, re, im in line), f._den)
 
 
 def inner_product(f: SpherePolynomial, g: SpherePolynomial) -> ComplexFraction:
@@ -461,13 +460,27 @@ def inner_product(f: SpherePolynomial, g: SpherePolynomial) -> ComplexFraction:
     a conj(b) norm_sq(nu + mu'); the rest pair to 0.
     """
     f._check_same(g)
-    f_den, f_lines = f._integer_lines()
-    g_den, g_lines = g._integer_lines()
+    f_lines = f.lines()
     return _mass_sum((
         (tuple(map(add, nu, mu)), a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im)
-        for d, group in g_lines.items() for _, nu, b_re, b_im in group
+        for d, group in g.lines().items() for _, nu, b_re, b_im in group
         for mu, _, a_re, a_im in f_lines.get(d, ())
-    ), f_den * g_den)
+    ), f._den * g._den)
+
+
+def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
+    """Exact Cauchy transform of polynomial data: the L2 projection onto holomorphic polynomials.
+
+    c zeta^mu conj(zeta)^nu maps to c norm_sq(mu) / norm_sq(d) z^d if d = mu - nu >= 0, else to 0,
+    so C[f] = sum over f's lines d >= 0 of moment(f, 0, d) / norm_sq(d) z^d.  Line d is
+    (x_d + i y_d) multinomial(d) / (D L_d) by _line_sum; one _store over D lcm(L_d) builds C[f].
+    """
+    sums = [(d, _multinomial(d), *_line_sum((mu, re, im) for mu, _, re, im in group))
+            for d, group in f.lines().items() if min(d) >= 0]
+    lcm, zero = math.lcm(*(q for *_, q in sums)), MultiIndex.zero(f.dim)
+    return _store(f.dim, f._den * lcm, (
+        ((MultiIndex(d), zero), (x * m * (lcm // q), y * m * (lcm // q))) for d, m, x, y, q in sums
+    ), object.__new__(HolomorphicPolynomial))
 
 
 def l2_norm_sq(f: SpherePolynomial) -> Fraction:

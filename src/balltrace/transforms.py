@@ -8,11 +8,11 @@ dominates nu and there contributes
 
     C[zeta^mu conj(zeta)^nu](z) = (norm_sq(mu) / norm_sq(mu - nu)) z^(mu-nu),
 
-and 0 otherwise; the transform extends by linearity.  Summed over a line
-d = mu - nu >= 0 of f, the numerators are exactly moment(f, 0, d), so the
-transform is one exact moment per line.  Holomorphic monomials reproduce
-themselves (the coefficient ratio is 1), so the transform is an idempotent
-projection onto holomorphic polynomials.
+and 0 otherwise; the transform extends by linearity.  Holomorphic monomials
+reproduce themselves (the coefficient ratio is 1), so the transform is an
+idempotent projection onto holomorphic polynomials.  It is exact integer
+work on the stored form, so it lives beside moment, as
+polynomials.cauchy_transform_poly; this module keeps the name.
 
 Poisson integral of polynomial data.  P[f](z) is evaluated through the
 moment expansion
@@ -61,35 +61,16 @@ import numpy as np
 
 from .errors import ConvergenceError, DimensionMismatchError, DomainError
 from .exact import format_float
+from . import polynomials
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
-from .multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
-from .polynomials import (
-    HolomorphicPolynomial,
-    MCEstimate,
-    SpherePolynomial,
-    _mass_sum,
-    _PowerTable,
-    _weighted_mean,
-)
+from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from .polynomials import MCEstimate, SpherePolynomial, _PowerTable, _weighted_mean
 from .sphere import SphereSampler
 
 RADIAL_TAIL_TOL = 1e-8      # truncation budget used by radial_scan
 MAX_SERIES_ORDER = 4096     # hard cap for automatic order selection
 
-
-def cauchy_transform_poly(f: SpherePolynomial) -> HolomorphicPolynomial:
-    """Exact Cauchy transform of polynomial boundary data.
-
-    This is the orthogonal projection onto holomorphic polynomials w.r.t.
-    the exact L2 inner product; by the term rule of the module docstring it
-    is one moment per line d >= 0 of f:
-        C[f] = sum_d moment(f, 0, d) / norm_sq(d) z^d, summed by the line kernel.
-    """
-    den, lines = f._integer_lines()
-    return HolomorphicPolynomial(f.dim, {
-        d: _mass_sum(((mu, m * re, m * im) for mu, _, re, im in group), den)
-        for d, group in lines.items() if min(d) >= 0 for m in [_multinomial(d)]
-    })
+cauchy_transform_poly = polynomials.cauchy_transform_poly  # exact; its home is polynomials
 
 
 def cauchy_transform_mc(

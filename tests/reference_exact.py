@@ -135,7 +135,8 @@ def reference_sweep(f, max_order):
 
 def reference_scan(r, order):
     """membership._scan before it walked each line's box: every alpha of the index
-    list against every line of r, beta = alpha + d looked up in the list."""
+    list against every line of r, beta = alpha + d looked up in the list.  Each
+    violation reports S / G, G = M / L with L the lcm of the multinomials of its weights."""
     n, lines = r.dim, r.lines()
     k = order + r.max_degree()
     full = math.perm(n - 1 + k, k)
@@ -147,12 +148,12 @@ def reference_scan(r, order):
         return weights[omega]
 
     # for a fixed alpha, beta = alpha + d runs in the graded-lex order of d
-    plan = [(d, lines[d], min(d) < 0) for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d)))]
+    plan = [(d, lines[d]) for d in sorted(lines, key=lambda d: (sum(d), tuple(-x for x in d)))]
     indices = graded_indices(n, order)
     lookup = {idx: idx for idx in indices}
     out = []
     for alpha in indices:
-        for d, terms, kind_a in plan:
+        for d, terms in plan:
             beta = lookup.get(tuple(map(add, alpha, d)))
             if beta is None:
                 continue
@@ -162,8 +163,9 @@ def reference_scan(r, order):
                 s_re += re * w
                 s_im += im * w
             if s_re or s_im:
-                out.append((alpha, beta, s_re, s_im, full if kind_a else weight(beta)))
-    return out
+                out.append((alpha, beta, s_re, s_im))
+    g = full // math.lcm(*(full // w for w in weights.values()))
+    return [(alpha, beta, s_re // g, s_im // g) for alpha, beta, s_re, s_im in out]
 
 
 def reference_worst(violations):

@@ -12,6 +12,8 @@ from balltrace.membership import is_boundary_trace
 from balltrace.multiindex import MultiIndex
 from balltrace.polynomials import SpherePolynomial
 
+from certcheck import problems
+
 COUNTEREXAMPLE = '{"n": 2, "terms": [{"mu": [1, 1], "nu": [1, 1], "re": "1/1", "im": "0/1"}]}'
 COORDINATE = '{"n": 2, "terms": [{"mu": [1, 0], "nu": [0, 0], "re": "1/1", "im": "0/1"}]}'
 
@@ -737,6 +739,24 @@ class TestExitCodes:
         cert = json.loads(out)
         assert cert["member"] is False and cert["violation_order"] == m + 1
         assert cert["violation"]["alpha"] == nu and cert["violation"]["beta"] == [0] * n
+
+    @pytest.mark.parametrize(
+        "nus, argv",
+        [
+            (range(9940, 10001), ()),  # 1952 violations, M of about 257000 bits
+            ((1,), ("--sweep-order", "3000")),  # 3000 violations, M of about 30000 bits
+        ],
+    )
+    def test_many_violations_on_huge_integers_rank_quickly(self, capsys, tmp_path, nus, argv):
+        # sum of conj(zeta_1)^j in n = 1: L = 1, so the pairs rank on s = S / M, not on S
+        doc = {"n": 1, "terms": [{"mu": [0], "nu": [j], "re": "1/1", "im": "0/1"} for j in nus]}
+        path = tmp_path / "conj_sum.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--input", str(path), *argv)
+        assert code == 0 and err == "" and time.perf_counter() - start < 2.0
+        cert = json.loads(out)
+        assert cert["member"] is False and problems(doc, cert) == []
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

@@ -103,6 +103,29 @@ class TestComplexArithmetic:
             assert r * a == promoted
 
 
+class TestRarelyUsedOperators:
+    def test_reflected_subtraction_and_division(self):
+        z = ComplexFraction(1, 2)
+        assert 3 - z == ComplexFraction(2, -2)
+        assert Fraction(1, 2) - z == ComplexFraction(Fraction(-1, 2), -2)
+        assert 5 / z == ComplexFraction(1, -2)
+        assert Fraction(5, 2) / ComplexFraction(0, 1) == ComplexFraction(0, Fraction(-5, 2))
+        assert z.__rsub__(1.5) is NotImplemented and z.__rtruediv__(1.5) is NotImplemented
+
+    def test_unary_plus_is_identity(self):
+        z = ComplexFraction(Fraction(1, 3), -1)
+        assert +z is z
+
+    @given(complexes, complexes)
+    def test_equal_values_hash_equal(self, a, b):
+        copy = ComplexFraction(Fraction(2 * a.re.numerator, 2 * a.re.denominator), a.im)
+        assert copy is not a and copy == a and hash(copy) == hash(a)
+        assert len({a, b, ComplexFraction(b.re, b.im)}) == (1 if a == b else 2)
+
+    def test_repr(self):
+        assert repr(ComplexFraction(Fraction(1, 6), -2)) == "ComplexFraction(Fraction(1, 6), Fraction(-2, 1))"
+
+
 class TestFloatConversion:
     @pytest.mark.parametrize(
         "q,expected",
@@ -160,6 +183,38 @@ class TestSerialization:
 
         with pytest.raises(SchemaError):
             parse_rational(value)
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+    def test_values_are_the_fractions_written(self, p, q):
+        assert parse_rational(f"{p}/{q}") == Fraction(p, q)
+        assert parse_rational(str(p)) == Fraction(p)
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("one half", "invalid rational literal 'one half': expected \"p/q\" or an integer"),
+            ("1/0", "invalid rational literal '1/0': Fraction(1, 0)"),
+            (" -0/000", "invalid rational literal ' -0/000': Fraction(0, 0)"),
+            ("+7/0", "invalid rational literal '+7/0': Fraction(7, 0)"),
+            (1.5, 'rational literal must be a string like "p/q", got 1.5'),
+        ],
+    )
+    def test_schema_error_messages(self, value, message):
+        from balltrace.errors import SchemaError
+
+        with pytest.raises(SchemaError) as info:
+            parse_rational(value)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text", ["1" * 5000 + "/3", "3/" + "1" * 5000])
+    def test_literal_past_the_digit_limit_is_a_schema_error(self, text):
+        from balltrace.errors import SchemaError
+
+        with pytest.raises(ValueError) as limit:
+            int("1" * 5000)
+        with pytest.raises(SchemaError) as info:
+            parse_rational(text)
+        assert str(info.value) == f"invalid rational literal {text!r}: {limit.value}"
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_past_the_int_to_str_digit_limit(self, sign):

@@ -1,5 +1,6 @@
 """Every name a library module imports with `from ... import` is used in it,
-only `polynomials.py` reads the stored form of a SpherePolynomial, and the
+only `polynomials.py` reads the stored form of a SpherePolynomial, the
+decision modules import nothing from the float side's upper layers, and the
 certificate checker `tests/certcheck.py` imports from the standard library only.
 
 Stdlib `ast` only.  A name counts as used when it appears as a plain name
@@ -8,8 +9,12 @@ anywhere in the module, including inside quoted annotations.  The package
 
 The stored form is the private slots of SpherePolynomial (the denominator D,
 the Gaussian-integer parts and the caches built from them), read from its
-`__slots__`.  Other modules go through `lines()`, `_integer_lines()` and
-`terms`; an attribute or a string naming one of those slots is a read.
+`__slots__`.  Other modules go through `lines()` and `terms`; an attribute
+or a string naming one of those slots is a read.
+
+`membership.py` and `polynomials.py` import nothing from `transforms`,
+`kernels` or `generators`, and `membership.py` nothing from `sphere`: the
+decision path is exact, and the float side builds on it, not the reverse.
 """
 
 import ast
@@ -93,7 +98,7 @@ def test_only_polynomials_reads_the_stored_form(path):
 def test_guard_catches_a_stored_slot_read():
     slots = stored_slots()
     assert {"_den", "_parts"} <= slots and "dim" not in slots
-    allowed = "den, lines = f._integer_lines()\nterms = f.terms\nn = f.dim\n"
+    allowed = "lines = f.lines()\nterms = f.terms\nn = f.dim\n"
     assert stored_slot_reads(allowed, slots) == []
     assert stored_slot_reads("parts = f._parts\n", slots) == ["_parts"]
     assert stored_slot_reads('den = getattr(f, "_den")\n', slots) == ["_den"]
@@ -103,13 +108,18 @@ CERTCHECK_IMPORTS = {"fractions", "math"}
 
 
 def imported_modules(source: str) -> set[str]:
-    """Every module an import statement names; a relative import counts as "." plus its module."""
+    """Every module an import statement names; a relative import counts as "." plus its module.
+
+    `from . import x` names the module ".x".
+    """
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:
+            out |= {"." * node.level + alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
-            out.add("." * node.level + (node.module or ""))
+            out.add("." * node.level + node.module)
     return out
 
 
@@ -123,3 +133,21 @@ def test_guard_catches_a_balltrace_import():
     for source in ("import balltrace\n", "from balltrace.exact import ZERO\n", "from . import membership\n",
                    "def f():\n    import balltrace.membership as m\n"):
         assert not imported_modules(source) <= CERTCHECK_IMPORTS
+
+
+FLOAT_MODULES = {".transforms", ".kernels", ".generators"}
+EXACT_LAYERING = {"polynomials.py": FLOAT_MODULES, "membership.py": FLOAT_MODULES | {".sphere"}}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_LAYERING))
+def test_the_decision_path_imports_no_float_module(name):
+    source = (SRC / name).read_text(encoding="utf-8")
+    assert imported_modules(source) & EXACT_LAYERING[name] == set()
+
+
+def test_guard_catches_a_float_import():
+    forbidden = EXACT_LAYERING["membership.py"]
+    assert imported_modules("from .polynomials import moment\nfrom .exact import ZERO\n") & forbidden == set()
+    for source in ("from .transforms import cauchy_transform_poly\n", "from . import kernels\n",
+                   "from .sphere import SphereSampler\n", "def f():\n    from .generators import random_poly\n"):
+        assert imported_modules(source) & forbidden

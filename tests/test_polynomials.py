@@ -189,7 +189,7 @@ def poly_pairs(draw):
 
 
 def stored_den(f):
-    return f._integer_lines()[0]
+    return f._den
 
 
 def terms_lcm(f):
