@@ -36,23 +36,22 @@ exactly (d- + gamma, d+ + gamma) for |gamma| <= N - h_d, C(N - h_d + n, n) of
 them, and the shift by d- keeps the graded-lex order of gamma: the scan walks
 each line's box and visits only pairs that exist.  At sweep order N let
 K = N + r.max_degree(), D = r's stored denominator (the lcm of those of its
-coefficient parts), M = (n-1+K)! / (n-1)! and, for the indices w met, all
-with |w| <= K, the integers W(w) = M / multinomial(w) = M norm_sq(w).  Then
-  S(alpha, d) = sum over the line's terms t of (D c_t) W(alpha + mu_t)
-is a Gaussian integer with moment(r, alpha, beta) = S(alpha, d) / (D M),
-and a pair is violated iff S != 0.  Every W(w) is a multiple of G = M / L,
-L the lcm of the multinomials of the w met, so s = S / G is a Gaussian
-integer of about L's size (L = 1 in n = 1) with moment = s / (D L).  The
-gap is |s| / (D L) for A and |s| multinomial(beta) / (D L) for B, so the
-worst violation has the largest |s|^2 c, c = 1 for A and multinomial(beta)^2
-for B, ties going to the first pair in graded-lex order; only its report,
-through check_condition on f, builds Fractions.  W is cached for one scan.
+coefficient parts) and L the lcm of the multinomials of the indices w met,
+all with |w| <= K (L = 1 in n = 1).  With the weights L / multinomial(w),
+  s(alpha, d) = sum over the line's terms t of (D c_t) L / multinomial(alpha + mu_t)
+is a Gaussian integer with moment(r, alpha, beta) = s / (D L), and a pair is
+violated iff s != 0.  The gap is |s| / (D L) for A and |s| multinomial(beta)
+/ (D L) for B, so the worst violation has the largest |s|^2 c, c = 1 for A
+and multinomial(beta)^2 for B, ties going to the first pair in graded-lex
+order.  The decision keeps only that running worst, and only its report,
+through check_condition on f, builds Fractions.  Multinomials are computed
+once per index met in a scan, keyed by the index's parts in radix K + 1.
 A scan refuses to start when its estimate exceeds WORK_BUDGET: its pairs,
-each counted once more per whole SIZE_UNIT_BITS bits of M, its largest
-integer (bits from lgamma: nothing is built for the estimate).  Building M
-takes more than linear time in its size, so a scan is charged for no fewer
-pairs than M has such units: one-term data of high degree has a handful of
-pairs but would build a factorial of 10^8 bits.
+each counted once more per whole SIZE_UNIT_BITS bits of M = (n-1+K)!/(n-1)!
+(bits from lgamma: nothing is built for the estimate).  L divides M, so M's
+bits bound the scan's largest integers; a scan is charged for no fewer pairs
+than M has such units, so one-term data of high degree, with a handful of
+pairs, is still charged for its degree.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, le
+from operator import add, mul
 
 from .errors import PreconditionError
 from .exact import (
@@ -72,7 +71,7 @@ from .exact import (
     format_float,
     format_rational,
 )
-from .multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
+from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import HolomorphicPolynomial, SpherePolynomial, cauchy_transform_poly, l2_norm_sq, moment
 
 ESCALATION_STEP = 2
@@ -81,8 +80,8 @@ MAX_ESCALATIONS = 64
 # Largest condition scan accepted, in units of one pair on small integers
 # (module docstring).  Measured at the budget on a 2-core x86 VM (CPython
 # 3.11): sweep on conj(zeta_1) in n = 1, 2, 3, 4 (orders 6720, 499, 113, 48)
-# takes 0.4, 3.8, 4.8 and 5.8 s and 132, 190, 185 and 153 MB above the
-# interpreter; check on conj(zeta_1)^34947 in n = 1 takes 1.2 s and 2 MB.
+# takes 0.1, 4.1, 7.0 and 6.7 s and 4, 97, 168 and 165 MB above the
+# interpreter; check on conj(zeta_1)^34947 in n = 1, under 0.01 s and 1 MB.
 WORK_BUDGET = 250_000
 # A scanned pair holds about 400 bytes of Python objects plus 1.5 to 2
 # integers of the scan's size (peak RSS of scans in n = 1..3), so its
@@ -204,56 +203,87 @@ def _check_budget(r: SpherePolynomial, order: int) -> list[tuple]:
     return boxes
 
 
-def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
-    """Violated pairs of the residual r up to order as (alpha, beta, s_re, s_im), graded-lex.
+def _line_sums(r: SpherePolynomial, order: int):
+    """(d-, d+, [(gamma, s_re, s_im, c) for each pair with s != 0, graded-lex]) per line of r with a box.
 
-    s = S / G: moment(r, alpha, beta) = (s_re + i s_im) / (D L) (module docstring); every s is nonzero.
-    _check_budget refuses an estimate over WORK_BUDGET before any work.
+    s = sum over the line's terms t of (D c_t) L / multinomial(gamma + d- + mu_t), and c = 1 on an
+    A line and multinomial(beta)^2 on a B line (module docstring).  Every index met is keyed by its
+    parts in radix K + 1 and its multinomial is computed once; in n = 1 none is and every weight
+    is 1.  _check_budget refuses an estimate over WORK_BUDGET before any work.
     """
     boxes = _check_budget(r, order)
-    n, lines = r.dim, r.lines()  # (D c) on each line; D is common to every S
-    k = order + r.max_degree()
-    full = math.perm(n - 1 + k, k)  # M = (n-1+K)!/(n-1)!
-    weights: dict[tuple[int, ...], int] = {}  # W(omega) = M / multinomial(omega), for |omega| <= K
-    multinomials = []  # of the omega met, for L
-
-    def weight(omega: tuple[int, ...]) -> int:
-        if omega not in weights:
-            multinomials.append(_multinomial(omega))
-            weights[omega] = full // multinomials[-1]
-        return weights[omega]
-
+    n, lines, radix = r.dim, r.lines(), order + r.max_degree() + 1
+    place = [radix ** j for j in range(n)]
     indices = graded_indices(n, max((size for *_, size in boxes), default=-1))
-    out = []
+    codes = [sum(map(mul, gamma, place)) for gamma in indices]
+
+    def multinomial(code: int) -> int:  # multiindex._multinomial read off the code, with no index built
+        top, out = n - 1, 1
+        for p in place:
+            part = code // p % radix
+            top += part
+            out *= math.comb(top, part)
+        return out
+
+    plan, met = [], set()  # per box: d-, d+, its length and (code of d- + mu_t, D c_t)
     for d, low, high, size in boxes:
-        # alpha = d- + gamma, beta = d+ + gamma, and alpha + mu_t = gamma + (d- + mu_t)
-        shifts = [(tuple(map(add, low, mu)), re, im) for mu, _, re, im in lines[d]]
-        kind_a, shift_beta = any(low), any(high)  # A exactly when d- != 0
-        for gamma in indices[:math.comb(size + n, n)]:  # each box is a prefix of the largest
+        length = math.comb(size + n, n)  # each box is a prefix of the largest
+        shifts = [(sum(map(mul, map(add, low, mu), place)), re, im) for mu, _, re, im in lines[d]]
+        if n > 1:
+            for shift, _, _ in shifts:
+                met.update([code + shift for code in codes[:length]])
+        plan.append((low, high, length, shifts))
+    multinomials = {code: multinomial(code) for code in met}
+    lcm = math.lcm(*multinomials.values())  # L
+    weights = {code: lcm // m for code, m in multinomials.items()}
+    for low, high, length, shifts in plan:
+        kind_a, to_beta = any(low), sum(map(mul, high, place))  # A exactly when d- != 0
+        hits = []
+        for gamma, code in zip(indices[:length], codes):
             s_re = s_im = 0
             for shift, re, im in shifts:
-                w = weight(tuple(map(add, gamma, shift)))
+                w = weights.get(code + shift, 1)
                 s_re += re * w
                 s_im += im * w
             if s_re or s_im:
-                alpha = tuple.__new__(MultiIndex, map(add, gamma, low)) if kind_a else gamma
-                beta = tuple.__new__(MultiIndex, map(add, gamma, high)) if shift_beta else gamma
-                out.append((alpha, beta, s_re, s_im))
-    # boxes come graded-lex in d, each graded-lex in alpha; a reverse sort keeps ties in place
-    if len(boxes) > 1:
+                c = 1 if kind_a else (multinomials.get(code + to_beta) or multinomial(code + to_beta)) ** 2
+                hits.append((gamma, s_re, s_im, c))
+        yield low, high, hits
+
+
+def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
+    """Violated pairs of the residual r up to order as (alpha, beta, s_re, s_im), graded-lex.
+
+    moment(r, alpha, beta) = (s_re + i s_im) / (D L) (module docstring); every s is nonzero.
+    """
+    out, lines_hit = [], 0
+    for low, high, hits in _line_sums(r, order):
+        kind_a, shift_beta = any(low), any(high)
+        lines_hit += bool(hits)
+        for gamma, s_re, s_im, _ in hits:
+            alpha = tuple.__new__(MultiIndex, map(add, gamma, low)) if kind_a else gamma
+            beta = tuple.__new__(MultiIndex, map(add, gamma, high)) if shift_beta else gamma
+            out.append((alpha, beta, s_re, s_im))
+    # lines come graded-lex in d, each graded-lex in alpha; a reverse sort keeps ties in place
+    if lines_hit > 1:
         out.sort(key=lambda v: (-sum(v[0]), v[0]), reverse=True)
-    g = full // math.lcm(*multinomials)  # G = M / L
-    return [(alpha, beta, s_re // g, s_im // g) for alpha, beta, s_re, s_im in out]
+    return out
 
 
-def _worst_pair(violations: list[tuple]) -> tuple[MultiIndex, MultiIndex]:
-    """(alpha, beta) of the largest |s|^2 c (module docstring); ties go to the first, graded-lex."""
-    def size(v: tuple) -> int:
-        alpha, beta, s_re, s_im = v
-        c = _multinomial(beta) if all(map(le, alpha, beta)) else 1  # B exactly when beta dominates alpha
-        return (s_re * s_re + s_im * s_im) * c * c
+def _worst_violation(r: SpherePolynomial, order: int) -> tuple[MultiIndex, MultiIndex] | None:
+    """(alpha, beta) of the largest |s|^2 c (module docstring), None if no pair is violated.
 
-    return max(violations, key=size)[:2]
+    A running worst over the line sums; ties go to the first pair in graded-lex order.
+    """
+    worst = None
+    for low, high, hits in _line_sums(r, order):
+        if hits:  # max keeps the first of equal sizes on a line; across lines alpha decides
+            gamma, s_re, s_im, c = max(hits, key=lambda h: (h[1] * h[1] + h[2] * h[2]) * h[3])
+            alpha = tuple.__new__(MultiIndex, map(add, gamma, low))
+            rank = (-(s_re * s_re + s_im * s_im) * c, alpha.sort_key())
+            if worst is None or rank < worst[0]:
+                worst = rank, alpha, tuple.__new__(MultiIndex, map(add, gamma, high))
+    return worst and worst[1:]
 
 
 def szego_residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial]:
@@ -319,17 +349,17 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     bound = f.max_degree() + 1
     order = sweep_order if sweep_order is not None else bound
     for _ in range(MAX_ESCALATIONS):
-        violations = _scan(r, order)
-        if violations:
+        worst = _worst_violation(r, order)
+        if worst:
             break
         order += ESCALATION_STEP
     else:
         order = bound
-        violations = _scan(r, order)
+        worst = _worst_violation(r, order)
     return MembershipCertificate(
         member=False,
         residual_sq=residual_sq,
         witness_extension=None,
-        violation=check_condition(f, *_worst_pair(violations)),
+        violation=check_condition(f, *worst),
         violation_order=order,
     )

@@ -4,8 +4,10 @@ These are the direct forms the line-keyed code in balltrace replaced: a
 sweep that tests every (alpha, beta) pair of the index list, the integer
 scan that tries every alpha of the index list against every line, and a moment,
 an inner product and a Cauchy projection that visit every term (or pair of
-terms) in Fractions and build a MultiIndex for each; and the choice of the
-worst violation by its exact Fraction gap, which the integer scan replaced.
+terms) in Fractions and build a MultiIndex for each; the choice of the
+worst violation by its exact Fraction gap, which the integer scan replaced;
+and the integer ranking before it kept a running worst: every violation of a
+box scan weighted by the factorial M, divided by G and then ranked.
 The ring operations add and multiply ComplexFraction coefficients term by
 term, as before polynomials were stored as Gaussian integers over one
 denominator; each returns the terms of its result in the order it first
@@ -15,12 +17,12 @@ correct; the tests require the library functions to return identical values.
 """
 
 import math
-from operator import add
+from operator import add, le
 
 import numpy as np
 
 from balltrace.exact import ZERO
-from balltrace.membership import check_condition
+from balltrace.membership import _check_budget, check_condition
 from balltrace.multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
 from balltrace.polynomials import HolomorphicPolynomial, _PowerTable
 
@@ -174,3 +176,46 @@ def reference_worst(violations):
         violations,
         key=lambda v: (-(v.lhs - v.rhs).abs_sq(), v.alpha.sort_key(), v.beta.sort_key()),
     )
+
+
+def reference_worst_pair(r, order):
+    """(alpha, beta) of the worst violation as membership ranked it before it kept a running worst.
+
+    Each line's box is scanned with weights W(omega) = M / multinomial(omega), M = (n-1+K)!/(n-1)!;
+    the violations are sorted graded-lex and divided by G = M / L, and the largest |s|^2 c wins
+    (c = 1 for A, multinomial(beta)^2 for B), ties to the first.  None when no pair is violated.
+    """
+    boxes = _check_budget(r, order)
+    n, lines = r.dim, r.lines()
+    k = order + r.max_degree()
+    full = math.perm(n - 1 + k, k)
+    weights, multinomials = {}, []
+
+    def weight(omega):
+        if omega not in weights:
+            multinomials.append(_multinomial(omega))
+            weights[omega] = full // multinomials[-1]
+        return weights[omega]
+
+    indices = graded_indices(n, max((size for *_, size in boxes), default=-1))
+    out = []
+    for d, low, high, size in boxes:
+        shifts = [(tuple(map(add, low, mu)), re, im) for mu, _, re, im in lines[d]]
+        for gamma in indices[:math.comb(size + n, n)]:
+            s_re = s_im = 0
+            for shift, re, im in shifts:
+                w = weight(tuple(map(add, gamma, shift)))
+                s_re += re * w
+                s_im += im * w
+            if s_re or s_im:
+                out.append((MultiIndex(map(add, gamma, low)), MultiIndex(map(add, gamma, high)), s_re, s_im))
+    out.sort(key=lambda v: (-sum(v[0]), v[0]), reverse=True)
+    g = full // math.lcm(*multinomials)
+    violations = [(alpha, beta, s_re // g, s_im // g) for alpha, beta, s_re, s_im in out]
+
+    def size(v):
+        alpha, beta, s_re, s_im = v
+        c = _multinomial(beta) if all(map(le, alpha, beta)) else 1  # B exactly when beta dominates alpha
+        return (s_re * s_re + s_im * s_im) * c * c
+
+    return max(violations, key=size)[:2] if violations else None

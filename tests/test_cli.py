@@ -1,5 +1,6 @@
 import json
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -757,6 +758,25 @@ class TestExitCodes:
         assert code == 0 and err == "" and time.perf_counter() - start < 2.0
         cert = json.loads(out)
         assert cert["member"] is False and problems(doc, cert) == []
+
+    @pytest.mark.parametrize("nus, seconds", [((20000,), 5.0), (range(9940, 10001), 2.0)])
+    def test_high_degree_check_memory_is_bounded(self, capsys, tmp_path, nus, seconds):
+        # sum of conj(zeta_1)^j in n = 1: every multinomial is 1, so the scan's weights are 1
+        # and nothing the size of (n - 1 + K)! is built, per pair or once
+        doc = {"n": 1, "terms": [{"mu": [0], "nu": [j], "re": "1/1", "im": "0/1"} for j in nus]}
+        path = tmp_path / "conj_sum.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run(capsys, "check", "--input", str(path))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == "" and elapsed < seconds
+        assert peak < 8_000_000
+        assert json.loads(out)["member"] is False
 
     def test_unknown_command_is_usage(self, capsys):
         assert run(capsys, "frobnicate")[0] == 1

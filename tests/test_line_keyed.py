@@ -4,20 +4,29 @@ moment, inner_product, l2_norm_sq, cauchy_transform_poly and sweep visit
 only the difference lines d = mu - nu of a polynomial, and all of them sum
 in integers (the integer line kernel of polynomials); tests/reference_exact.py
 keeps the forms that visit every term and every pair in Fractions, the scan
-that tries every alpha against every line, and the choice of the worst
-violation by its exact Fraction gap.  Exact arithmetic makes the comparison
+that tries every alpha against every line, the choice of the worst
+violation by its exact Fraction gap, and the ranking of a whole list of
+violations weighted by a factorial.  Exact arithmetic makes the comparison
 an identity, not a tolerance.
 """
 
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balltrace.exact import ComplexFraction
-from balltrace.membership import _check_budget, _scan, is_boundary_trace, sweep, szego_residual
-from balltrace.multiindex import MultiIndex, graded_indices
+from balltrace.membership import (
+    _check_budget,
+    _scan,
+    _worst_violation,
+    is_boundary_trace,
+    sweep,
+    szego_residual,
+)
+from balltrace.multiindex import MultiIndex, _multinomial, graded_indices
 from balltrace.polynomials import (
     HolomorphicPolynomial,
     SpherePolynomial,
@@ -34,6 +43,7 @@ from reference_exact import (
     reference_scan,
     reference_sweep,
     reference_worst,
+    reference_worst_pair,
 )
 
 # unrelated denominators per term (the integer scan's D is a real lcm), exact
@@ -121,6 +131,48 @@ def test_scan_walks_the_pairs_that_exist(f, data):
     assert _scan(r, order) == reference_scan(r, order)  # alpha, beta, s_re, s_im
     n = r.dim
     assert sum(math.comb(size + n, n) for *_, size in _check_budget(r, order)) == existing_pairs(r, order)
+
+
+@given(st.one_of(polys(), wide_polys()), st.data())
+@settings(max_examples=120, deadline=None)
+def test_running_worst_matches_ranked_list(f, data):
+    r = f - cauchy_transform_poly(f)
+    order = data.draw(st.integers(0, f.max_degree() + 2))
+    assert _worst_violation(r, order) == reference_worst_pair(r, order)
+    cert = is_boundary_trace(f, sweep_order=order)
+    if not cert.member:
+        assert (cert.violation.alpha, cert.violation.beta) == reference_worst_pair(r, cert.violation_order)
+
+
+def reference_size(v):
+    """|s|^2 c of a scanned violation: c = multinomial(beta)^2 when beta dominates alpha (B), else 1."""
+    alpha, beta, s_re, s_im = v
+    return (s_re * s_re + s_im * s_im) * (_multinomial(beta) ** 2 if beta.dominates(alpha) else 1)
+
+
+@pytest.mark.parametrize(
+    "n, terms, order, worst",
+    [
+        # conj(zeta_1) + conj(zeta_1)^2: |s| = 1 at every pair; the second line visited has the first alpha
+        (1, {((0,), (1,)): 1, ((0,), (2,)): 1}, 3, ((1,), (0,))),
+        # conj(zeta_1) + 3 zeta_2 conj(zeta_1): s = 6 at the first pair of both lines, alpha (1, 0)
+        (2, {((0, 0), (1, 0)): 1, ((0, 1), (1, 0)): 3}, 2, ((1, 0), (0, 0))),
+        # zeta_1 |zeta_2|^2 + 8/15 conj(zeta_1): gap 4/15 for A at ((1, 0), 0) and B at ((0, 2), (1, 2))
+        (2, {((1, 1), (0, 1)): 1, ((0, 0), (1, 0)): Fraction(8, 15)}, 3, ((1, 0), (0, 0))),
+        # with 16/15 conj(zeta_2)^3 instead, the tied A pair ((0, 3), 0) comes after the B pair
+        (2, {((1, 1), (0, 1)): 1, ((0, 0), (0, 3)): Fraction(16, 15)}, 3, ((0, 2), (1, 2))),
+    ],
+)
+def test_ties_go_to_the_first_pair(n, terms, order, worst):
+    f = SpherePolynomial(n, terms)
+    r = f - cauchy_transform_poly(f)
+    violations = _scan(r, order)
+    top = max(map(reference_size, violations))
+    tied_lines = {tuple(b - a for a, b in zip(v[0], v[1])) for v in violations if reference_size(v) == top}
+    assert len(tied_lines) == 2
+    assert _worst_violation(r, order) == reference_worst_pair(r, order) == worst
+    cert = is_boundary_trace(f, sweep_order=order)
+    assert (cert.violation.alpha, cert.violation.beta) == worst and cert.violation_order == order
 
 
 @given(polys(), st.one_of(st.none(), st.integers(0, 5)))

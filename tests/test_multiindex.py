@@ -150,8 +150,8 @@ class TestNormSqConstants:
 
     @given(st.data(), small_dims, st.integers(0, 40))
     def test_scan_weight_is_mass_quotient(self, data, n, k):
-        # the condition scan's W(w) = M / multinomial(w) with M = (n-1+K)!/(n-1)!
-        # is the integer w! (n-1+K)! / (n-1+|w|)! for every |w| <= K
+        # M = (n-1+K)!/(n-1)!, whose bits the scan budget charges, over multinomial(w)
+        # is the integer w! (n-1+K)! / (n-1+|w|)! for every |w| <= K, so the scan's L divides M
         parts, left = [], k
         for _ in range(n):
             parts.append(data.draw(st.integers(0, left)))
