@@ -24,9 +24,10 @@ holomorphic monomial (Rudin, Function Theory in the Unit Ball of C^n, ch. 6),
 so every right side moment(r, 0, lambda) vanishes: a pair is violated exactly
 when moment(r, alpha, beta) != 0, and its gap |lhs - rhs| is
 |moment(r, alpha, beta)| for A and that divided by norm_sq(beta) for B.
-Since ||r||^2 = sum over r's terms of conj(c_{mu,nu}) moment(r, nu, mu) > 0,
-some pair (nu, mu) with |nu|, |mu| <= f.max_degree() is violated, so the
-sweep at order max_degree + 1 always returns a counter-certificate.
+r is the sum of f's components h_pq in H(p,q) with q >= 1 (ch. 12), and the
+pairs with |alpha|, |beta| <= N reach exactly the (orthogonal) H(p,q) with
+p, q <= N: the scan at order N finds a violated pair exactly when
+N >= N* = min{max(p, q) : h_pq != 0, q >= 1}, and N* <= f.max_degree().
 
 moment(r, alpha, beta) can be nonzero only when d = beta - alpha is one of
 r's difference lines mu - nu (a subset of f's: C[f] puts its terms on f's
@@ -34,7 +35,11 @@ lines d >= 0).  With d- = max(-d, 0), d+ = max(d, 0) componentwise and
 h_d = max(|d-|, |d+|), the pairs on line d with |alpha|, |beta| <= N are
 exactly (d- + gamma, d+ + gamma) for |gamma| <= N - h_d, C(N - h_d + n, n) of
 them, and the shift by d- keeps the graded-lex order of gamma: the scan walks
-each line's box and visits only pairs that exist.  At sweep order N let
+each line's box and visits only pairs that exist.  As max(|alpha|, |beta|) =
+|gamma| + h_d, the lines' first hits at max_degree + 1 give N*, and so where
+escalating from N <= max_degree by ESCALATION_STEP first finds a violation:
+N + k ESCALATION_STEP, k = ceil(max(N* - N, 0) / ESCALATION_STEP), if
+k < MAX_ESCALATIONS, else max_degree + 1.  At sweep order N let
 K = N + r.max_degree(), D = r's stored denominator (the lcm of those of its
 coefficient parts) and L the lcm of the multinomials of the indices w met,
 all with |w| <= K (L = 1 in n = 1).  With the weights L / multinomial(w),
@@ -174,6 +179,8 @@ def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
     check_condition on f.  A member (r = 0) returns [] without scanning; a
     scan estimated over WORK_BUDGET raises PreconditionError before it starts.
     """
+    if max_order < 0:
+        raise PreconditionError(f"order must be >= 0, got {max_order}")
     r = f - cauchy_transform_poly(f)
     if r.is_zero():
         return []
@@ -330,15 +337,15 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     """Decide membership exactly and produce a certificate.
 
     The decision itself comes from the exact Szego residual r = f - C[f],
-    formed once and used both for ||r||^2 and for the scans.  For a
-    non-member, the sweep runs at sweep_order (default: the polynomial's
-    maximum degree plus one, where a violation is guaranteed; see the module
-    docstring) and escalates by ESCALATION_STEP until some violated condition
-    appears.  After MAX_ESCALATIONS steps without one it scans at that order,
-    so the search always ends; the certificate records the order where it
-    stopped.  Each step is one integer scan of r (module docstring); a step
-    whose scan estimate exceeds WORK_BUDGET raises PreconditionError.
+    formed once and used both for ||r||^2 and for the scans.  A non-member's
+    violation is the worst of one scan: at sweep_order if that is at least
+    max_degree + 1 (the default), else where escalating from it by
+    ESCALATION_STEP first finds one, computed from the lowest violated order
+    (MAX_ESCALATIONS steps at most, else max_degree + 1; module docstring).
+    A negative order or a scan over WORK_BUDGET raises PreconditionError.
     """
+    if sweep_order is not None and sweep_order < 0:
+        raise PreconditionError(f"order must be >= 0, got {sweep_order}")
     g = cauchy_transform_poly(f)
     r = f - g
     residual_sq = l2_norm_sq(r)
@@ -347,15 +354,12 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
             member=True, residual_sq=residual_sq, witness_extension=g, violation=None
         )
     bound = f.max_degree() + 1
-    order = sweep_order if sweep_order is not None else bound
-    for _ in range(MAX_ESCALATIONS):
-        worst = _worst_violation(r, order)
-        if worst:
-            break
-        order += ESCALATION_STEP
-    else:
-        order = bound
-        worst = _worst_violation(r, order)
+    order = bound if sweep_order is None else sweep_order
+    if order < bound:  # where the escalation from order stops (module docstring)
+        lowest = min(max(sum(lo), sum(hi)) + sum(hits[0][0]) for lo, hi, hits in _line_sums(r, bound) if hits)
+        steps = -(-max(lowest - order, 0) // ESCALATION_STEP)
+        order = order + steps * ESCALATION_STEP if steps < MAX_ESCALATIONS else bound
+    worst = _worst_violation(r, order)
     return MembershipCertificate(
         member=False,
         residual_sq=residual_sq,

@@ -6,8 +6,10 @@ scan that tries every alpha of the index list against every line, and a moment,
 an inner product and a Cauchy projection that visit every term (or pair of
 terms) in Fractions and build a MultiIndex for each; the choice of the
 worst violation by its exact Fraction gap, which the integer scan replaced;
-and the integer ranking before it kept a running worst: every violation of a
-box scan weighted by the factorial M, divided by G and then ranked.
+the integer ranking before it kept a running worst: every violation of a
+box scan weighted by the factorial M, divided by G and then ranked; and the
+decision's search for a violated order by scanning again every
+ESCALATION_STEP orders, before that order was computed from the lowest one.
 The ring operations add and multiply ComplexFraction coefficients term by
 term, as before polynomials were stored as Gaussian integers over one
 denominator; each returns the terms of its result in the order it first
@@ -22,9 +24,16 @@ from operator import add, le
 import numpy as np
 
 from balltrace.exact import ZERO
-from balltrace.membership import _check_budget, check_condition
+from balltrace.membership import (
+    ESCALATION_STEP,
+    MAX_ESCALATIONS,
+    MembershipCertificate,
+    _check_budget,
+    _worst_violation,
+    check_condition,
+)
 from balltrace.multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
-from balltrace.polynomials import HolomorphicPolynomial, _PowerTable
+from balltrace.polynomials import HolomorphicPolynomial, _PowerTable, cauchy_transform_poly, l2_norm_sq
 
 
 def _accumulate(products):
@@ -219,3 +228,30 @@ def reference_worst_pair(r, order):
         return (s_re * s_re + s_im * s_im) * c * c
 
     return max(violations, key=size)[:2] if violations else None
+
+
+def reference_escalation(f, order):
+    """is_boundary_trace(f, order).to_json_dict() as the escalation loop made it.
+
+    Scans at order, then every ESCALATION_STEP orders until some pair is violated;
+    after MAX_ESCALATIONS scans without one it scans at max_degree + 1.
+    """
+    g = cauchy_transform_poly(f)
+    r = f - g
+    residual_sq = l2_norm_sq(r)
+    if residual_sq == 0:
+        cert = MembershipCertificate(member=True, residual_sq=residual_sq, witness_extension=g, violation=None)
+        return cert.to_json_dict()
+    for _ in range(MAX_ESCALATIONS):
+        worst = _worst_violation(r, order)
+        if worst:
+            break
+        order += ESCALATION_STEP
+    else:
+        order = f.max_degree() + 1
+        worst = _worst_violation(r, order)
+    cert = MembershipCertificate(
+        member=False, residual_sq=residual_sq, witness_extension=None,
+        violation=check_condition(f, *worst), violation_order=order,
+    )
+    return cert.to_json_dict()

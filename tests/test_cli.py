@@ -629,6 +629,26 @@ class TestExitCodes:
         (line,) = err.splitlines()
         assert json.loads(line)["error"]["type"] == "PreconditionError" and "358955" in line
 
+    def test_low_sweep_order_is_refused_like_the_default(self, capsys, monkeypatch, tmp_path):
+        from balltrace import membership
+
+        monkeypatch.setattr(membership, "graded_indices", None)  # never enumerated
+        # conj(zeta_1) + |zeta_1|^96 in n = 4 is violated from order 1, but that order is
+        # read off the scan at max_degree + 1 = 49, which holds 563550 pairs
+        path = tmp_path / "conj_shell.json"
+        path.write_text(json.dumps({"n": 4, "terms": [
+            {"mu": [0, 0, 0, 0], "nu": [1, 0, 0, 0], "re": "1/1", "im": "0/1"},
+            {"mu": [48, 0, 0, 0], "nu": [48, 0, 0, 0], "re": "1/1", "im": "0/1"},
+        ]}))
+        refusals = []
+        for argv in ((), ("--sweep-order", "0")):
+            code, out, err = run(capsys, "check", "--input", str(path), *argv)
+            assert code == 2 and out == ""
+            (line,) = err.splitlines()
+            refusals.append(json.loads(line)["error"])
+        assert refusals[0] == refusals[1] and refusals[0]["type"] == "PreconditionError"
+        assert "at order 49 in dimension 4 would test 563550 pairs" in refusals[0]["message"]
+
     def test_huge_decimal_exponent_is_schema_error_quickly(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"n": 1, "terms": [{"mu": [1], "nu": [0], "re": "1e9999999", "im": "0/1"}]}')

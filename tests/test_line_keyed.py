@@ -5,9 +5,9 @@ only the difference lines d = mu - nu of a polynomial, and all of them sum
 in integers (the integer line kernel of polynomials); tests/reference_exact.py
 keeps the forms that visit every term and every pair in Fractions, the scan
 that tries every alpha against every line, the choice of the worst
-violation by its exact Fraction gap, and the ranking of a whole list of
-violations weighted by a factorial.  Exact arithmetic makes the comparison
-an identity, not a tolerance.
+violation by its exact Fraction gap, the ranking of a whole list of
+violations weighted by a factorial, and the decision's escalation loop.
+Exact arithmetic makes the comparison an identity, not a tolerance.
 """
 
 import math
@@ -38,6 +38,7 @@ from balltrace.transforms import cauchy_transform_poly
 
 from reference_exact import (
     reference_cauchy,
+    reference_escalation,
     reference_inner_product,
     reference_moment,
     reference_scan,
@@ -183,6 +184,37 @@ def test_worst_violation_matches_reference(f, sweep_order):
         assert cert.violation is None
     else:
         assert cert.violation == reference_worst(reference_sweep(f, cert.violation_order))
+
+
+@given(st.one_of(polys(), wide_polys()))
+@settings(max_examples=120, deadline=None)
+def test_lowest_violated_order_is_that_of_the_components(f):
+    # r is the sum of f's H(p,q) components with q >= 1: the lowest order with a
+    # violated pair is N* = min max(p, q) over them
+    r = f - cauchy_transform_poly(f)
+    residual_components = [max(p, q) for p, q in f.harmonics() if q >= 1]
+    assert (l2_norm_sq(r) == 0) == (not residual_components)
+    if residual_components:
+        lowest = next(order for order in range(f.max_degree() + 2) if _scan(r, order))
+        assert lowest == min(residual_components)
+
+
+@given(st.one_of(polys(), wide_polys()))
+@settings(max_examples=80, deadline=None)
+def test_decision_matches_the_escalation_loop(f):
+    for order in range(f.max_degree() + 3):
+        assert is_boundary_trace(f, sweep_order=order).to_json_dict() == reference_escalation(f, order)
+
+
+@pytest.mark.parametrize(
+    "m, order",
+    # conj(zeta_1)^m in n = 1 has N* = m: the loop's last scan from order 0 is at 126,
+    # so m = 127, 128 and 140 reach the fallback to m + 1
+    [(125, 0), (126, 0), (127, 0), (127, 1), (128, 0), (128, 1), (140, 0), (140, 13), (140, 141)],
+)
+def test_escalation_cap_matches_the_loop(m, order):
+    f = SpherePolynomial.monomial(1, (0,), (m,))
+    assert is_boundary_trace(f, sweep_order=order).to_json_dict() == reference_escalation(f, order)
 
 
 @given(polys())

@@ -207,6 +207,37 @@ class TestMembership:
         # the 1/5 vs 1/6 pair has degree 2: found after one step from order 0
         assert is_boundary_trace(counterexample(), sweep_order=0).violation_order == 2
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            counterexample(),
+            mono(1, (0,), (140,)),  # 65 scans from order 0 for the escalation loop
+            random_nonmember_poly(np.random.default_rng(5), 3, 3),
+        ],
+    )
+    def test_one_scan_at_the_default_order_and_two_below_it(self, monkeypatch, f):
+        orders = []
+        line_sums = membership._line_sums
+
+        def spy(r, order):
+            orders.append(order)
+            return line_sums(r, order)
+
+        monkeypatch.setattr(membership, "_line_sums", spy)
+        bound = f.max_degree() + 1
+        assert is_boundary_trace(f).violation_order == bound and orders == [bound]
+        for order in range(bound + 3):
+            orders.clear()
+            cert = is_boundary_trace(f, sweep_order=order)
+            assert orders == ([bound] if order < bound else []) + [cert.violation_order]
+
+    @pytest.mark.parametrize("run", [sweep, is_boundary_trace])
+    @pytest.mark.parametrize("order", [-1, -3, -5])
+    def test_negative_order_is_refused_before_projecting(self, monkeypatch, run, order):
+        monkeypatch.setattr(membership, "cauchy_transform_poly", None)  # never projected
+        with pytest.raises(PreconditionError, match=f"^order must be >= 0, got {order}$"):
+            run(counterexample(), order)
+
     def test_member_iff_zero_residual(self, rng):
         for _ in range(10):
             f = random_sphere_poly(rng, 2, 3)
