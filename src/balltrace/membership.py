@@ -176,13 +176,13 @@ def sweep(f: SpherePolynomial, max_order: int) -> list[ConditionReport]:
 
     The integer scan of the residual r = f - C[f] (module docstring) finds
     the violated pairs; only those get a ConditionReport, built through
-    check_condition on f.  A member (r = 0) returns [] without scanning; a
-    scan estimated over WORK_BUDGET raises PreconditionError before it starts.
+    check_condition on f.  A member (||r||^2 = 0) returns [] before any budget
+    check; a scan estimated over WORK_BUDGET raises PreconditionError first.
     """
     if max_order < 0:
         raise PreconditionError(f"order must be >= 0, got {max_order}")
-    r = f - cauchy_transform_poly(f)
-    if r.is_zero():
+    residual_sq, _, r = _residual(f)
+    if residual_sq == 0:
         return []
     return [check_condition(f, alpha, beta) for alpha, beta, *_ in _scan(r, max_order)]
 
@@ -293,6 +293,13 @@ def _worst_violation(r: SpherePolynomial, order: int) -> tuple[MultiIndex, Multi
     return worst and worst[1:]
 
 
+def _residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial, SpherePolynomial]:
+    """(||r||^2, C[f], r) for the Szego residual r = f - C[f]: the one membership test."""
+    g = cauchy_transform_poly(f)
+    r = f - g
+    return l2_norm_sq(r), g, r
+
+
 def szego_residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial]:
     """Exact squared L2 distance between f and its Cauchy projection.
 
@@ -301,8 +308,7 @@ def szego_residual(f: SpherePolynomial) -> tuple[Fraction, HolomorphicPolynomial
     polynomial, i.e. when f is a boundary trace (for every p >= 1; polynomial
     data lies in every Lp, so membership does not depend on p).
     """
-    g = cauchy_transform_poly(f)
-    return l2_norm_sq(f - g), g
+    return _residual(f)[:2]
 
 
 @dataclass(frozen=True)
@@ -346,9 +352,7 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     """
     if sweep_order is not None and sweep_order < 0:
         raise PreconditionError(f"order must be >= 0, got {sweep_order}")
-    g = cauchy_transform_poly(f)
-    r = f - g
-    residual_sq = l2_norm_sq(r)
+    residual_sq, g, r = _residual(f)
     if residual_sq == 0:
         return MembershipCertificate(
             member=True, residual_sq=residual_sq, witness_extension=g, violation=None

@@ -75,7 +75,7 @@ class SpherePolynomial:
     def __init__(self, dim: int, terms: Mapping[TermKey, ComplexFraction] | None = None):
         if dim < 1:
             raise ValueError("dimension must be >= 1")
-        clean: list[tuple[TermKey, ComplexFraction]] = []
+        literals = []
         for (mu, nu), coeff in (terms or {}).items():
             if not isinstance(mu, MultiIndex) or not isinstance(nu, MultiIndex):
                 mu, nu = MultiIndex(mu), MultiIndex(nu)
@@ -83,10 +83,9 @@ class SpherePolynomial:
                 raise DimensionMismatchError(
                     f"term ({tuple(mu)}, {tuple(nu)}) does not match dimension {dim}"
                 )
-            clean.append(((mu, nu), coeff if isinstance(coeff, ComplexFraction) else ComplexFraction(coeff)))
-        den = math.lcm(*(q.denominator for _, c in clean for q in (c.re, c.im)))
-        times_den = lambda q: q.numerator * (den // q.denominator)  # noqa: E731
-        _store(dim, den, ((key, (times_den(c.re), times_den(c.im))) for key, c in clean), self)
+            c = coeff if isinstance(coeff, ComplexFraction) else ComplexFraction(coeff)
+            literals.append(((mu, nu), (c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator)))
+        _store_literals(dim, literals, self)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -289,7 +288,7 @@ class SpherePolynomial:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SpherePolynomial":
-        """Read a (mu, nu)-keyed document, its literals over their lcm; always a SpherePolynomial."""
+        """Read a (mu, nu)-keyed document, its literals as written; always a SpherePolynomial."""
         if not isinstance(doc, dict) or "n" not in doc or "terms" not in doc:
             raise SchemaError("polynomial document must have keys 'n' and 'terms'")
         dim = doc["n"]
@@ -320,9 +319,7 @@ class SpherePolynomial:
                     f"term #{i}: exponent dimension {mu.dim}/{nu.dim} does not match n={dim}"
                 )
             terms.append(((mu, nu), _split_rational(entry["re"]) + _split_rational(entry["im"])))
-        den = math.lcm(*(q for _, (_, b, _, e) in terms for q in (b, e)))
-        return _store(dim, den, (
-            (key, (a * (den // b), c * (den // e))) for key, (a, b, c, e) in terms))
+        return _store_literals(dim, terms)
 
 
 class HolomorphicPolynomial(SpherePolynomial):
@@ -369,22 +366,41 @@ class HolomorphicPolynomial(SpherePolynomial):
         }
 
 
-def _store(dim: int, den: int, parts: Parts, into: SpherePolynomial | None = None) -> SpherePolynomial:
+def _store(dim: int, den: int, parts: Parts, into: SpherePolynomial | None = None,
+           reduced: bool = False) -> SpherePolynomial:
     """Store sum (re + i im) / den zeta^mu conj(zeta)^nu over parts in into, or a new polynomial.
 
-    Repeated keys add up in first-seen order, zero sums go, and the gcd of den and every
-    part is divided out, so den becomes D, the lcm of the reduced denominators.
+    Repeated keys add up in first-seen order, zero sums go, and unless reduced, the gcd of den
+    and every part is divided out, so den becomes D, the lcm of the reduced denominators.
     """
     p = object.__new__(SpherePolynomial) if into is None else into
     sums: dict[TermKey, tuple[int, int]] = {}
     for key, (re, im) in parts:
         x, y = sums.get(key, (0, 0))
         sums[key] = (x + re, y + im)
-    g = math.gcd(den, *(x for part in sums.values() for x in part))
+    g = 1 if reduced else math.gcd(den, *(x for part in sums.values() for x in part))
     sums = {key: (re // g, im // g) for key, (re, im) in sums.items() if re or im}
     for slot, value in zip(SpherePolynomial.__slots__, (dim, den // g, sums, None, None, None)):
         object.__setattr__(p, slot, value)
     return p
+
+
+def _store_literals(dim: int, literals, into: SpherePolynomial | None = None) -> SpherePolynomial:
+    """_store of literals ((mu, nu), (a, b, c, e)), each worth a/b + i c/e with b, e > 0.
+
+    Each key's literals add up over their denominators' lcm, reduced as they go; D is the lcm of the
+    reduced ones.  No gcd pass: for a prime l | D, the part reduced over l's full power is prime to l.
+    """
+    sums: dict[TermKey, tuple[int, int, int, int]] = {}
+    for key, (a, b, c, e) in literals:
+        x, q, y, r = sums.get(key, (0, 1, 0, 1))  # the key's sum so far, x/q + i y/r
+        m, k = math.lcm(q, b), math.lcm(r, e)
+        x, y = x * (m // q) + a * (m // b), y * (k // r) + c * (k // e)
+        g, h = math.gcd(x, m), math.gcd(y, k)
+        sums[key] = x // g, m // g, y // h, k // h
+    den = math.lcm(*(d for _, q, _, r in sums.values() for d in (q, r)))
+    return _store(dim, den, (
+        (key, (x * (den // q), y * (den // e))) for key, (x, q, y, e) in sums.items()), into, True)
 
 
 class _PowerTable:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -310,6 +314,34 @@ class TestCheckCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO(COORDINATE))
         code, out, _ = run(capsys, "check", "--input", "-")
         assert code == 0 and json.loads(out)["member"] is True
+
+
+class TestModuleEntryPoint:
+    """`python -m balltrace` in a child process, through balltrace/__main__.py."""
+
+    @staticmethod
+    def run_module(*argv, stdin):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run(
+            [sys.executable, "-m", "balltrace", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    def test_check_reads_stdin(self):
+        proc = self.run_module("check", "--input", "-", stdin=COUNTEREXAMPLE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == COUNTEREXAMPLE_CHECK
+        doc = json.loads(proc.stdout)
+        assert doc["member"] is False
+        assert doc["violation"]["lhs"]["re"] == "1/5" and doc["violation"]["rhs"]["re"] == "1/6"
+
+    def test_malformed_document_is_one_json_line(self):
+        proc = self.run_module("check", "--input", "-", stdin='{"n": 2, "terms": [}')
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["type"] == "SchemaError"
 
 
 class TestConstantsCommand:

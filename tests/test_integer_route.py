@@ -1,12 +1,18 @@
 """`check` works on the stored integers from the document to the certificate.
 
-Parsing stores each literal's numerator and denominator over their lcm and
-builds no ComplexFraction; the Cauchy projection and the condition scan stay
-in integers, so a decision builds ComplexFractions only for the values its
-certificate reports, a number that does not grow with the terms or lines of f.
+Parsing adds up each key's literals over the lcm of their denominators,
+reduces each sum, and stores the polynomial over D, the lcm of the reduced
+denominators, in lowest terms; it builds no ComplexFraction.  So literals that
+cancel or reduce never make D large.  The Cauchy projection and the condition
+scan stay in integers, so a decision builds ComplexFractions only for the
+values its certificate reports, a number that does not grow with the terms or
+lines of f.
 """
 
 import json
+import math
+import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balltrace import exact
-from balltrace.cli import parse_polynomial
+from balltrace.cli import main, parse_polynomial
 from balltrace.exact import ComplexFraction
 from balltrace.generators import random_nonmember_poly
 from balltrace.membership import is_boundary_trace
@@ -95,3 +101,44 @@ def test_parsed_documents_equal_the_mapping_constructor(case):
     got = SpherePolynomial.from_json_dict(doc)
     assert got == want and hash(got) == hash(want)
     assert list(got.terms.items()) == list(want.terms.items())  # the same key order, so the same float sums
+
+
+@given(documents())
+@settings(max_examples=200, deadline=None)
+def test_parsed_documents_are_stored_in_lowest_terms(case):
+    got = SpherePolynomial.from_json_dict(case[0])
+    assert math.gcd(got._den, *(x for part in got._parts.values() for x in part)) == 1
+
+
+def odd_denominators(count: int, digits: int, seed: int) -> list[int]:
+    rng = random.Random(seed)
+    return [rng.randrange(10 ** (digits - 1), 10 ** digits) | 1 for _ in range(count)]
+
+
+def test_cancelling_literals_parse_at_once(tmp_path, capsys):
+    # 400 pairs 1/q, -1/q with distinct odd 1001-digit q, each pair on its own key (0.84 MB):
+    # over the lcm of every written denominator, D would have about 400000 digits
+    qs = odd_denominators(400, 1001, seed=29)
+    terms = [{"mu": [k], "nu": [0], "re": f"{sign}/{q}", "im": "0"} for sign in (1, -1) for k, q in enumerate(qs)]
+    text = json.dumps({"n": 1, "terms": terms})
+    start = time.perf_counter()
+    f = parse_polynomial(text)
+    assert time.perf_counter() - start < 1.0
+    assert f.is_zero() and f._den == 1
+    path = tmp_path / "cancelling.json"
+    path.write_text(text)
+    assert main(["check", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["member"] is True
+
+
+def test_distinct_large_denominators_parse_to_the_mapping_constructor():
+    # nothing cancels: D is the product of 200 distinct 500-digit denominators,
+    # and the parts need no gcd pass over integers of D's size
+    qs = odd_denominators(200, 500, seed=7)
+    doc = {"n": 1, "terms": [{"mu": [k], "nu": [0], "re": f"1/{q}", "im": "0"} for k, q in enumerate(qs)]}
+    start = time.perf_counter()
+    got = SpherePolynomial.from_json_dict(doc)
+    assert time.perf_counter() - start < 3.0
+    want = SpherePolynomial(1, {((k,), (0,)): Fraction(1, q) for k, q in enumerate(qs)})
+    assert got == want and hash(got) == hash(want)
+    assert list(got.terms.items()) == list(want.terms.items())

@@ -137,6 +137,38 @@ class TestSweep:
         keys = [(r.alpha.sort_key(), r.beta.sort_key()) for r in reports]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize("order", [3, 120, 10**6])
+    def test_member_with_stored_residual_returns_before_any_scan(self, monkeypatch, order):
+        orders = []
+        line_sums = membership._line_sums
+
+        def spy(r, order):
+            orders.append(order)
+            return line_sums(r, order)
+
+        monkeypatch.setattr(membership, "_line_sums", spy)
+        # r = f - 1 keeps four stored terms but ||r||^2 = 0; at order 120 its
+        # scan would be over WORK_BUDGET (302621 pairs on its one line)
+        f = sphere_relation(3)
+        assert not (f - SpherePolynomial.one(3)).is_zero()
+        assert sweep(f, order) == [] and orders == []
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_disguised_members_are_members_at_every_order(n, g_degree, q_degree, seed):
+    # g + q (|zeta_1|^2 + ... + |zeta_n|^2 - 1) is g on the sphere
+    rng = np.random.default_rng(seed)
+    g = random_holomorphic_poly(rng, n, g_degree)
+    q = random_sphere_poly(rng, n, q_degree)
+    disguise = q * (sphere_relation(n) - SpherePolynomial.one(n))
+    f = g.restrict_to_sphere() + disguise
+    assert disguise.is_zero() == q.is_zero()
+    for order in range(f.max_degree() + 3):
+        assert sweep(f, order) == []
+    cert = is_boundary_trace(f)
+    assert cert.member and cert.residual_sq == 0 and cert.witness_extension == g
+
 
 class TestSzegoResidual:
     def test_modulus_squared(self):
