@@ -106,8 +106,12 @@ def _radial_tail(p: int, q: int, dim: int, s: float, k: int) -> float:
     ratio(k+1), and the tail is at most t_(k+1) s^(k+1) / (1-rho).  The whole
     series is at most G(s) = (1-s)^(-n) (t_i <= binom(i+n-1, n-1), see
     transforms.poisson_series_tail), the fallback when k < 0 or rho >= 1.
+    Past the float range G is inf, and a bound formed from it inf or nan.
     """
-    full = (1.0 - s) ** (-dim)
+    try:
+        full = (1.0 - s) ** (-dim)
+    except OverflowError:
+        full = math.inf
     if k < 0:
         return full
     if s == 0.0:

@@ -46,7 +46,7 @@ import numpy as np
 from .errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from .exact import ComplexFraction, _split_rational, complex_to_strings
 from .multiindex import MultiIndex, _multinomial, monomial_norm_sq
-from .sphere import SphereSampler, _coords, fold_mean_and_stderr, monomial_eval
+from .sphere import SphereSampler, _PowerTable, _rows, fold_mean_and_stderr, monomial_eval
 
 TermKey = tuple[MultiIndex, MultiIndex]
 Line = tuple[int, ...]
@@ -256,24 +256,16 @@ class SpherePolynomial:
 
     def eval(self, zeta) -> complex | np.ndarray:
         """Float evaluation at a SpherePoint / 1-D point / (N, n) batch."""
-        z = _coords(zeta)
-        batched = z.ndim == 2
-        if z.shape[-1] != self.dim:
-            raise DimensionMismatchError(
-                f"point dimension {z.shape[-1]} does not match polynomial dimension {self.dim}"
-            )
-        if self._parts:
-            acc = self._eval_on(_PowerTable(z), _PowerTable(np.conj(z)))
-        else:
-            acc = np.zeros((z.shape[0],) if batched else (), dtype=np.complex128)
-        return acc if batched else complex(acc)
+        z, batched = _rows(zeta, self.dim)
+        acc = self._eval_on(_PowerTable(z), _PowerTable(np.conj(z)))
+        return acc if batched else complex(acc[0])
 
-    def _eval_on(self, zp: "_PowerTable", zc: "_PowerTable"):
+    def _eval_on(self, zp: _PowerTable, zc: _PowerTable):
         """Sum of the terms on the points of the power tables of z and conj(z)."""
         acc, den = np.zeros(zp.z.shape[:-1], dtype=np.complex128), self._den
         for (mu, nu), (re, im) in self._parts.items():
-            # re / den rounds as complex(ComplexFraction) does; the ufunc call keeps the
-            # coefficient first at every batch length (monomial_eval says why)
+            # re / den rounds as complex(ComplexFraction) does; the ufunc call keeps the coefficient
+            # first at every batch length (the operand-order comment in sphere.monomial_eval says why)
             acc = acc + np.multiply(complex(re / den, im / den), zp.monomial(mu)) * zc.monomial(nu)
         return acc
 
@@ -403,27 +395,6 @@ def _store_literals(dim: int, literals, into: SpherePolynomial | None = None) ->
         (key, (x * (den // q), y * (den // e))) for key, (x, q, y, e) in sums.items()), into, True)
 
 
-class _PowerTable:
-    """Per-coordinate power cache for repeated monomial evaluation."""
-
-    def __init__(self, z: np.ndarray):
-        self.z = z
-        self._pows: list[list] = [[np.ones(z.shape[:-1], dtype=np.complex128)] for _ in range(z.shape[-1])]
-
-    def power(self, k: int, t: int):
-        tab = self._pows[k]
-        while len(tab) <= t:
-            tab.append(tab[-1] * self.z[..., k])
-        return tab[t]
-
-    def monomial(self, idx: MultiIndex):
-        out = self.power(0, idx[0])
-        for k in range(1, len(idx)):
-            if idx[k]:
-                out = out * self.power(k, idx[k])
-        return out
-
-
 def laplacian(f: SpherePolynomial) -> SpherePolynomial:
     """Exact sum_j d/dz_j d/dconj(z_j) of f read as a polynomial in z and conj(z).
 
@@ -539,8 +510,8 @@ def _eval_black_box(g: Callable, batch: np.ndarray) -> np.ndarray:
             f"an integrand maps an (N, n) batch to N values; on a batch of "
             f"{batch.shape[0]} points it returned shape {vals.shape}"
         )
-    if not np.all(np.isfinite(vals.real) & np.isfinite(vals.imag)):
-        i = int(np.argmin(np.isfinite(vals.real) & np.isfinite(vals.imag)))
+    if not np.all(finite := np.isfinite(vals)):
+        i = int(np.argmin(finite))
         raise EvaluationError(
             f"black-box function returned non-finite value {vals[i]}", point=batch[i]
         )

@@ -108,6 +108,39 @@ def _coords(zeta) -> np.ndarray:
     return zeta.coords if isinstance(zeta, SpherePoint) else np.asarray(zeta, dtype=np.complex128)
 
 
+def _rows(zeta, *dims: int) -> tuple[np.ndarray, bool]:
+    """(N, n) rows of a SpherePoint, a 1-D point (one row) or a batch, and whether it was a batch.
+
+    The float evaluators' one point entry; n must equal every given dimension.
+    """
+    z = _coords(zeta)
+    if any(dim != z.shape[-1] for dim in dims):
+        raise DimensionMismatchError(f"dimensions {dims} do not match point dimension {z.shape[-1]}")
+    return (z, True) if z.ndim == 2 else (z[None, :], False)
+
+
+class _PowerTable:
+    """Per-coordinate power cache of an (N, n) batch for repeated monomial evaluation."""
+
+    def __init__(self, z: np.ndarray):
+        self.z = z
+        one = np.ones(z.shape[:-1], dtype=np.complex128)  # every coordinate's zeroth power
+        self._pows: list[list] = [[one] for _ in range(z.shape[-1])]
+
+    def power(self, k: int, t: int):
+        tab = self._pows[k]
+        while len(tab) <= t:
+            tab.append(tab[-1] * self.z[..., k])
+        return tab[t]
+
+    def monomial(self, idx: MultiIndex):
+        out = self.power(0, idx[0])
+        for k in range(1, len(idx)):
+            if idx[k]:
+                out = out * self.power(k, idx[k])
+        return out
+
+
 def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     """zeta^alpha * conj(zeta)^beta, pointwise or batched.
 
@@ -115,23 +148,12 @@ def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     scalar or an (N,) array accordingly.  |result| <= 1 on the sphere since
     every coordinate has modulus <= 1.
     """
-    z = _coords(zeta)
-    batched = z.ndim == 2
-    n = z.shape[-1]
-    if alpha.dim != n or beta.dim != n:
-        raise DimensionMismatchError(
-            f"index dimension {alpha.dim}/{beta.dim} does not match point dimension {n}"
-        )
-    # In place, so the factors multiply in this order at every batch length:
-    # numpy reuses a large temporary right operand as the output, swapping the
-    # operands, and complex products round differently in the two orders.
-    out = np.ones(z.shape[0] if batched else (), dtype=np.complex128)
-    for k in range(n):
-        if alpha[k]:
-            out *= z[..., k] ** alpha[k]
-        if beta[k]:
-            out *= np.conj(z[..., k]) ** beta[k]
-    return out if batched else complex(out)
+    z, batched = _rows(zeta, alpha.dim, beta.dim)
+    # A ufunc call, so the factors multiply in this order at every batch length:
+    # numpy reuses a large temporary right operand of * as the output, swapping
+    # the operands, and complex products round differently in the two orders.
+    out = np.multiply(_PowerTable(z).monomial(alpha), _PowerTable(np.conj(z)).monomial(beta))
+    return out if batched else complex(out[0])
 
 
 def _chunk_rng(seed: int, k: int) -> np.random.Generator:

@@ -1,18 +1,7 @@
 """Cauchy and Poisson integrals: exact on polynomials, Monte-Carlo on black boxes.
 
-Exact Cauchy transform (= Szego projection restricted to polynomial data).
-Expanding the Cauchy kernel in its monomial series and integrating term by
-term against a monomial zeta^mu conj(zeta)^nu, the orthogonality relations
-kill every series index except w = mu - nu, which survives only when mu
-dominates nu and there contributes
-
-    C[zeta^mu conj(zeta)^nu](z) = (norm_sq(mu) / norm_sq(mu - nu)) z^(mu-nu),
-
-and 0 otherwise; the transform extends by linearity.  Holomorphic monomials
-reproduce themselves (the coefficient ratio is 1), so the transform is an
-idempotent projection onto holomorphic polynomials.  It is exact integer
-work on the stored form, so it lives beside moment, as
-polynomials.cauchy_transform_poly; this module keeps the name.
+The exact Cauchy transform C[f] (the Szego projection) is derived and computed
+in polynomials.cauchy_transform_poly; this module keeps the name.
 
 Poisson integral of polynomial data.  P[f](z) is evaluated through the
 moment expansion
@@ -59,13 +48,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, DimensionMismatchError, DomainError
+from .errors import ConvergenceError, DimensionMismatchError, DomainError, NumericalError
 from .exact import format_float
 from . import polynomials
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
-from .polynomials import MCEstimate, SpherePolynomial, _PowerTable, _weighted_mean
-from .sphere import SphereSampler
+from .polynomials import MCEstimate, SpherePolynomial, _weighted_mean
+from .sphere import SphereSampler, _PowerTable, _rows
 
 RADIAL_TAIL_TOL = 1e-8      # truncation budget used by radial_scan
 MAX_SERIES_ORDER = 4096     # hard cap for automatic order selection
@@ -201,17 +190,12 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
     decomposition is made once per polynomial (f.harmonics()); a call then
     costs one power table of z, one evaluation of every component, and
     O(order) scalar work per distinct value of |z|^2.  See
-    choose_poisson_order for certified order selection.
+    choose_poisson_order for certified order selection.  A value past the
+    float range (in high n the binomials overflow) raises ConvergenceError.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    pt = np.asarray(z, dtype=np.complex128)
-    batched = pt.ndim == 2
-    Z = pt if batched else pt[None, :]
-    if Z.shape[-1] != f.dim:
-        raise DimensionMismatchError(
-            f"point dimension {Z.shape[-1]} does not match polynomial dimension {f.dim}"
-        )
+    Z, batched = _rows(z, f.dim)
     s = np.sum(np.abs(Z) ** 2, axis=1)
     if np.max(s, initial=0.0) >= 1.0:
         raise DomainError("Poisson series requires |z| < 1 for every point")
@@ -223,6 +207,8 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
     for col, h in enumerate(f.harmonics().values()):
         total = total + radial[where, col] * h._eval_on(zp, zc)
     result = total / normalizer[where]
+    if not np.all(np.isfinite(result)):
+        raise ConvergenceError(f"the series leaves the float range at order {order} in dimension {f.dim}")
     return result if batched else complex(result[0])
 
 
@@ -279,7 +265,7 @@ def choose_poisson_order(
     if f.is_zero():
         return 0
     order = 1
-    while poisson_series_tail(f, radius, order) > tol:
+    while not poisson_series_tail(f, radius, order) <= tol:  # a nan tail is not small
         order *= 2
         if order > max_order:
             raise ConvergenceError(
@@ -320,12 +306,21 @@ RADIAL_CSV_HEADER = ",".join(field.name for field in fields(RadialScanRow))
 
 
 def _lp_estimate(values: np.ndarray, p: float) -> tuple[float, float]:
-    """(mean |values|^p)^(1/p) with a delta-method standard error."""
-    pows = np.abs(values) ** p
-    m = float(np.mean(pows))
+    """(mean |values|^p)^(1/p) with a delta-method standard error.
+
+    Raises NumericalError when |values|^p leaves the float range: the mean or
+    its standard error is not finite, or the mean underflows to 0 on nonzero values.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by the check below
+        pows = np.abs(values) ** p
+        m = float(np.mean(pows))
+        se_mean = float(np.std(pows, ddof=1)) / math.sqrt(len(pows))
+    if not (math.isfinite(m) and math.isfinite(se_mean)) or (m == 0.0 and np.any(values)):
+        raise NumericalError(
+            f"mean |value|^p at p = {p} leaves the float range: {m} with standard error {se_mean}"
+        )
     if m == 0.0:
         return 0.0, 0.0
-    se_mean = float(np.std(pows, ddof=1)) / math.sqrt(len(pows))
     norm = m ** (1.0 / p)
     return norm, se_mean * norm / (p * m)
 

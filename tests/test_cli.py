@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ from certcheck import problems
 
 COUNTEREXAMPLE = '{"n": 2, "terms": [{"mu": [1, 1], "nu": [1, 1], "re": "1/1", "im": "0/1"}]}'
 COORDINATE = '{"n": 2, "terms": [{"mu": [1, 0], "nu": [0, 0], "re": "1/1", "im": "0/1"}]}'
+THOUSAND_Z1_ZBAR2 = '{"n": 2, "terms": [{"mu": [1, 0], "nu": [0, 1], "re": "1000/1", "im": "0/1"}]}'
 
 # exact stdout of `check` on the two documents above, pinned byte for byte
 COORDINATE_CHECK = """{
@@ -456,6 +458,53 @@ class TestRadialScanCommand:
         assert run(capsys, "radial-scan", "--input", str(path), *args) == (
             0, "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n0.5,2,0,0,0,100,0\n", ""
         )
+
+    @pytest.mark.filterwarnings("error")  # a stray RuntimeWarning would end the run with exit 5
+    @pytest.mark.parametrize(
+        "doc, args",
+        [
+            (THOUSAND_Z1_ZBAR2, ("--p", "100", "--radii", "0.5,0.9")),  # the stderr overflows
+            (THOUSAND_Z1_ZBAR2, ("--p", "1000", "--radii", "0.5,0.9")),  # the mean overflows
+            (COUNTEREXAMPLE, ("--p", "1000", "--radii", "0.5")),  # the mean underflows to 0
+        ],
+    )
+    def test_lp_estimate_past_float_range_is_one_json_error(self, capsys, tmp_path, doc, args):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "radial-scan", "--input", str(path), *args, "--samples", "1000")
+        assert code == 3 and out == ""
+        (line,) = err.splitlines()
+        assert json.loads(line)["error"]["type"] == "NumericalError"
+
+    def test_constant_data_has_zero_error_at_large_p(self, capsys, tmp_path):
+        # |slice - f|^p is exactly 0 everywhere: no underflow, so no error
+        path = tmp_path / "constant.json"
+        path.write_text('{"n": 2, "terms": [{"mu": [0, 0], "nu": [0, 0], "re": "3/5", "im": "4/5"}]}')
+        code, out, err = run(
+            capsys, "radial-scan", "--input", str(path), "--p", "1000", "--radii", "0.5,0.9", "--samples", "100"
+        )
+        assert code == 0 and err == ""
+        assert [row.split(",")[2:4] for row in out.splitlines()[1:]] == [["0", "0"], ["0", "0"]]
+
+    @pytest.mark.parametrize("n, r", [(300, 0.9), (1000, 0.5), (1000, 0.9)])
+    def test_high_dimension_ends_finite_or_in_one_json_error(self, n, r):
+        # in a child process, since numpy's RuntimeWarnings bypass capsys
+        term = {"mu": [0] * n, "nu": [1] + [0] * (n - 1), "re": "1/1", "im": "0/1"}
+        proc = TestModuleEntryPoint.run_module(
+            "radial-scan", "--input", "-", "--radii", str(r), "--samples", "100",
+            stdin=json.dumps({"n": n, "terms": [term]}),
+        )
+        if proc.returncode == 0:
+            assert proc.stderr == ""
+            (row,) = proc.stdout.splitlines()[1:]
+            _, _, lp_error, _, lp_norm_r, _, _ = map(float, row.split(","))
+            # P[conj(zeta_1)](r zeta) = r conj(zeta_1): both are the sample L2 norm of f
+            assert math.isfinite(lp_error) and math.isfinite(lp_norm_r)
+            assert lp_norm_r / r == pytest.approx(lp_error / (1 - r), rel=1e-6)
+        else:
+            assert proc.returncode == 3 and proc.stdout == ""
+            (line,) = proc.stderr.splitlines()
+            assert json.loads(line)["error"]["type"] == "ConvergenceError"
 
     def test_coefficient_past_float_range_is_one_json_error(self, capsys, tmp_path):
         # exact data parses; the float side cannot hold a 401-digit coefficient

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from balltrace.errors import DimensionMismatchError, EvaluationError, PreconditionError, SchemaError
 from balltrace.exact import ComplexFraction
+from balltrace.generators import random_sphere_poly
 from balltrace.membership import is_boundary_trace
 from balltrace.multiindex import MultiIndex, graded_indices
 from balltrace import sphere
@@ -332,6 +333,20 @@ class TestMCMoment:
         value, stderr = mean_and_stderr(monomial_eval(batch, alpha, beta) * g(batch))
         assert abs(est.value - value) <= 1e-12 * abs(value)
         assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bits_do_not_depend_on_batch_length(self, n):
+        # 40 000 rows pass 2^14 complex rows (256 KiB), where numpy starts reusing temporaries
+        f = random_sphere_poly(np.random.default_rng(n), n, 3)
+        batch = SphereSampler(n, 40 + n).sample_batch(40_000)
+        whole = f.eval(batch)
+        rows = sphere._BLOCK_ROWS
+        blocks = [f.eval(batch[i:i + rows]) for i in range(0, len(batch), rows)]
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert np.array([f.eval(z) for z in batch]).tobytes() == whole.tobytes()
+        alpha, beta = (MI.unit(n, 1), MI.unit(n, 0)) if n > 1 else (MI((2,)), MI((1,)))
+        est = mc_moment(f.eval, alpha, beta, SphereSampler(n, 40 + n), 40_000)
+        assert (est.value, est.stderr) == mean_and_stderr(monomial_eval(batch, alpha, beta) * whole)
 
     def test_nonfinite_in_a_later_block_reports_its_point(self):
         bad_row = sphere._BLOCK_ROWS + 17

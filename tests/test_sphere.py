@@ -196,6 +196,24 @@ class TestMonomialEval:
         with pytest.raises(DimensionMismatchError):
             monomial_eval(SpherePoint([1, 0]), MultiIndex((1,)), MultiIndex((1,)))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bits_do_not_depend_on_batch_length(self, n):
+        # 40 000 rows pass 2^14 complex rows (256 KiB), where numpy starts reusing temporaries
+        batch = SphereSampler(n, 40 + n).sample_batch(40_000)
+        pairs = [
+            (MultiIndex([2] + [0] * (n - 1)), MultiIndex([1] * n)),
+            (MultiIndex([1] * n), MultiIndex([3, 0, 1, 1][:n])),
+        ]
+        if n > 1:
+            pairs.append((MultiIndex.unit(n, 1), MultiIndex.unit(n, 0)))  # alpha = e_2, beta = e_1
+        for alpha, beta in pairs:
+            whole = monomial_eval(batch, alpha, beta).tobytes()
+            rows = sphere._BLOCK_ROWS
+            blocks = [monomial_eval(batch[i:i + rows], alpha, beta) for i in range(0, len(batch), rows)]
+            assert np.concatenate(blocks).tobytes() == whole
+        # each 1-D point, for the last pair
+        assert np.array([monomial_eval(z, alpha, beta) for z in batch]).tobytes() == whole
+
 
 class TestMeanAndStderr:
     def test_constant_batch_has_zero_stderr(self):

@@ -237,6 +237,14 @@ class TestPoissonSeries:
         with pytest.raises(DomainError):
             poisson_series_eval(SpherePolynomial.one(2), np.array([1.0, 0.0]), 3)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_series_past_the_float_range_raises(self):
+        # conj(zeta_1) in n = 1000: binom(i + 999, 999) overflows a float near i = 400
+        z = np.zeros(1000)
+        z[0] = 0.5
+        with pytest.raises(ConvergenceError):
+            poisson_series_eval(mono(1000, (0,) * 1000, (1,) + (0,) * 999), z, 1024)
+
 
 class TestOrderSelection:
     def test_chosen_order_meets_tolerance(self):
@@ -255,6 +263,14 @@ class TestOrderSelection:
 
     def test_zero_polynomial(self):
         assert choose_poisson_order(SpherePolynomial.zero(2), 0.9, 1e-8) == 0
+
+    @pytest.mark.parametrize("radius", [0.5, 0.9])
+    def test_tail_past_the_float_range_is_not_small(self, radius):
+        # in n = 1000 the tail bound is nan at every order (inf times an underflowed 0)
+        f = mono(1000, (0,) * 1000, (1,) + (0,) * 999)
+        assert math.isnan(poisson_series_tail(f, radius, 1024))
+        with pytest.raises(ConvergenceError):
+            choose_poisson_order(f, radius)
 
 
 @st.composite
