@@ -49,8 +49,10 @@ violated iff s != 0.  The gap is |s| / (D L) for A and |s| multinomial(beta)
 / (D L) for B, so the worst violation has the largest |s|^2 c, c = 1 for A
 and multinomial(beta)^2 for B, ties going to the first pair in graded-lex
 order.  The decision keeps only that running worst, and only its report,
-through check_condition on f, builds Fractions.  Multinomials are computed
-once per index met in a scan, keyed by the index's parts in radix K + 1.
+through check_condition on f, builds Fractions.  The masses are those of
+moment, inner_product and C[f]: multiindex._multinomial, taken once per index
+met in a scan from gamma and d- + mu_t (from gamma and d+ for a beta no term
+meets), and keyed by the index's parts in radix K + 1.
 A scan refuses to start when its estimate exceeds WORK_BUDGET: its pairs,
 each counted once more per whole SIZE_UNIT_BITS bits of M = (n-1+K)!/(n-1)!
 (bits from lgamma: nothing is built for the estimate).  L divides M, so M's
@@ -76,7 +78,7 @@ from .exact import (
     format_float,
     format_rational,
 )
-from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
+from .multiindex import MultiIndex, _multinomial, graded_indices, monomial_norm_sq
 from .polynomials import HolomorphicPolynomial, SpherePolynomial, cauchy_transform_poly, l2_norm_sq, moment
 
 ESCALATION_STEP = 2
@@ -215,32 +217,28 @@ def _line_sums(r: SpherePolynomial, order: int):
 
     s = sum over the line's terms t of (D c_t) L / multinomial(gamma + d- + mu_t), and c = 1 on an
     A line and multinomial(beta)^2 on a B line (module docstring).  Every index met is keyed by its
-    parts in radix K + 1 and its multinomial is computed once; in n = 1 none is and every weight
-    is 1.  _check_budget refuses an estimate over WORK_BUDGET before any work.
+    parts in radix K + 1, and its multinomial is computed the first time the scan meets it, from
+    gamma and d- + mu_t; in n = 1 every weight is 1.  _check_budget refuses an estimate over
+    WORK_BUDGET before any work.
     """
     boxes = _check_budget(r, order)
     n, lines, radix = r.dim, r.lines(), order + r.max_degree() + 1
     place = [radix ** j for j in range(n)]
     indices = graded_indices(n, max((size for *_, size in boxes), default=-1))
     codes = [sum(map(mul, gamma, place)) for gamma in indices]
-
-    def multinomial(code: int) -> int:  # multiindex._multinomial read off the code, with no index built
-        top, out = n - 1, 1
-        for p in place:
-            part = code // p % radix
-            top += part
-            out *= math.comb(top, part)
-        return out
-
-    plan, met = [], set()  # per box: d-, d+, its length and (code of d- + mu_t, D c_t)
+    plan, multinomials = [], {}  # per box: d-, d+, its length and (code of d- + mu_t, D c_t)
     for d, low, high, size in boxes:
         length = math.comb(size + n, n)  # each box is a prefix of the largest
-        shifts = [(sum(map(mul, map(add, low, mu), place)), re, im) for mu, _, re, im in lines[d]]
-        if n > 1:
-            for shift, _, _ in shifts:
-                met.update([code + shift for code in codes[:length]])
+        shifts = []
+        for mu, _, re, im in lines[d]:
+            start = tuple(map(add, low, mu))  # d- + mu_t
+            shift = sum(map(mul, start, place))
+            shifts.append((shift, re, im))
+            if n > 1:
+                for gamma, code in zip(indices[:length], codes):
+                    if code + shift not in multinomials:
+                        multinomials[code + shift] = _multinomial(tuple(map(add, gamma, start)))
         plan.append((low, high, length, shifts))
-    multinomials = {code: multinomial(code) for code in met}
     lcm = math.lcm(*multinomials.values())  # L
     weights = {code: lcm // m for code, m in multinomials.items()}
     for low, high, length, shifts in plan:
@@ -253,8 +251,8 @@ def _line_sums(r: SpherePolynomial, order: int):
                 s_re += re * w
                 s_im += im * w
             if s_re or s_im:
-                c = 1 if kind_a else (multinomials.get(code + to_beta) or multinomial(code + to_beta)) ** 2
-                hits.append((gamma, s_re, s_im, c))
+                m = 1 if kind_a else multinomials.get(code + to_beta) or _multinomial(tuple(map(add, gamma, high)))
+                hits.append((gamma, s_re, s_im, m * m))  # c = multinomial(beta)^2 on a B line
         yield low, high, hits
 
 

@@ -137,8 +137,9 @@ def _multinomial(idx: tuple[int, ...]) -> int:
     """(n-1+|idx|)! / ((n-1)! idx!) as the product of binomials prod_k C(n-1 + idx_1 + ... + idx_k, idx_k)."""
     top, out = len(idx) - 1, 1
     for c in idx:
-        top += c
-        out *= math.comb(top, c)
+        if c:  # C(top, 0) = 1
+            top += c
+            out *= math.comb(top, c)
     return out
 
 

@@ -9,7 +9,9 @@ worst violation by its exact Fraction gap, which the integer scan replaced;
 the integer ranking before it kept a running worst: every violation of a
 box scan weighted by the factorial M, divided by G and then ranked; and the
 decision's search for a violated order by scanning again every
-ESCALATION_STEP orders, before that order was computed from the lowest one.
+ESCALATION_STEP orders, before that order was computed from the lowest one;
+the line sums that read each multinomial off the radix code of its index,
+with n divisions of the code, before the scan took it from the index.
 The ring operations add and multiply ComplexFraction coefficients term by
 term, as before polynomials were stored as Gaussian integers over one
 denominator; each returns the terms of its result in the order it first
@@ -19,7 +21,7 @@ correct; the tests require the library functions to return identical values.
 """
 
 import math
-from operator import add, le
+from operator import add, le, mul
 
 import numpy as np
 
@@ -228,6 +230,54 @@ def reference_worst_pair(r, order):
         return (s_re * s_re + s_im * s_im) * c * c
 
     return max(violations, key=size)[:2] if violations else None
+
+
+def reference_line_sums(r, order):
+    """membership._line_sums as it decoded each index met from its code in radix K + 1.
+
+    Each code is split into its parts by n divisions of integers of n log2(K + 1) bits, and the
+    multinomial is the product of binomials read off the parts.
+    """
+    boxes = _check_budget(r, order)
+    n, lines, radix = r.dim, r.lines(), order + r.max_degree() + 1
+    place = [radix ** j for j in range(n)]
+    indices = graded_indices(n, max((size for *_, size in boxes), default=-1))
+    codes = [sum(map(mul, gamma, place)) for gamma in indices]
+
+    def multinomial(code):
+        top, out = n - 1, 1
+        for p in place:
+            part = code // p % radix
+            top += part
+            out *= math.comb(top, part)
+        return out
+
+    plan, met = [], set()
+    for d, low, high, size in boxes:
+        length = math.comb(size + n, n)
+        shifts = [(sum(map(mul, map(add, low, mu), place)), re, im) for mu, _, re, im in lines[d]]
+        if n > 1:
+            for shift, _, _ in shifts:
+                met.update([code + shift for code in codes[:length]])
+        plan.append((low, high, length, shifts))
+    multinomials = {code: multinomial(code) for code in met}
+    lcm = math.lcm(*multinomials.values())
+    weights = {code: lcm // m for code, m in multinomials.items()}
+    out = []
+    for low, high, length, shifts in plan:
+        kind_a, to_beta = any(low), sum(map(mul, high, place))
+        hits = []
+        for gamma, code in zip(indices[:length], codes):
+            s_re = s_im = 0
+            for shift, re, im in shifts:
+                w = weights.get(code + shift, 1)
+                s_re += re * w
+                s_im += im * w
+            if s_re or s_im:
+                c = 1 if kind_a else (multinomials.get(code + to_beta) or multinomial(code + to_beta)) ** 2
+                hits.append((gamma, s_re, s_im, c))
+        out.append((low, high, hits))
+    return out
 
 
 def reference_escalation(f, order):

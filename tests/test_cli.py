@@ -338,6 +338,17 @@ class TestModuleEntryPoint:
         assert doc["member"] is False
         assert doc["violation"]["lhs"]["re"] == "1/5" and doc["violation"]["rhs"]["re"] == "1/6"
 
+    def test_high_dimension_check_decides_quickly(self):
+        # conj(zeta_1) in n = 2000: 2001 pairs, each index's multinomial taken from its parts
+        # (8.6 s when the scan decoded each one from its radix code with n divisions)
+        n = 2000
+        doc = {"n": n, "terms": [{"mu": [0] * n, "nu": [1] + [0] * (n - 1), "re": "1/1", "im": "0/1"}]}
+        start = time.perf_counter()
+        proc = self.run_module("check", "--input", "-", stdin=json.dumps(doc))
+        assert proc.returncode == 0 and proc.stderr == "" and time.perf_counter() - start < 3.0
+        cert = json.loads(proc.stdout)
+        assert cert["member"] is False and cert["violation_order"] == 2
+
     def test_malformed_document_is_one_json_line(self):
         proc = self.run_module("check", "--input", "-", stdin='{"n": 2, "terms": [}')
         assert proc.returncode == 1 and proc.stdout == ""
@@ -526,6 +537,47 @@ class TestRadialScanCommand:
         )
         assert code == 0 and out == ""
         assert dest.read_text().startswith("r,p,lp_error")
+
+
+class TestOutputFile:
+    def test_shorter_payload_over_a_longer_file_leaves_the_payload(self, capsys, coordinate_file, tmp_path):
+        dest = tmp_path / "cert.json"
+        dest.write_text("x" * 10_000)
+        code, out, err = run(capsys, "check", "--input", coordinate_file, "--output", str(dest))
+        assert (code, out, err) == (0, "", "")
+        assert dest.read_text() == COORDINATE_CHECK
+
+    def test_dev_null_exits_0(self, capsys, coordinate_file):
+        code, out, err = run(capsys, "check", "--input", coordinate_file, "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+    def test_unwritable_path_is_io(self, capsys, coordinate_file, tmp_path):
+        (tmp_path / "plain").write_text("")
+        code, out, err = run(capsys, "check", "--input", coordinate_file, "--output", str(tmp_path / "plain" / "x"))
+        assert code == 4 and out == ""
+        assert json.loads(err)["error"]["type"] == "NotADirectoryError"
+
+    def test_failed_write_leaves_only_the_bytes_written(self, tmp_path):
+        # a file-size limit of 1000 bytes fails the write of a longer payload part way,
+        # over an old file of 5000 bytes: the old file's tail must not survive
+        dest = tmp_path / "table.json"
+        dest.write_text("x" * 5000)
+        child = (
+            "import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (1000, 1000))\n"
+            "from balltrace.cli import main\n"
+            f"sys.exit(main(['constants', '--n', '2', '--order', '6', '--output', {str(dest)!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+        assert proc.returncode == 4 and proc.stdout == ""
+        assert json.loads(proc.stderr)["error"]["type"] == "OSError"
+        written = dest.read_text()
+        assert 0 < len(written) <= 1000 and "x" not in written
+        assert main(["constants", "--n", "2", "--order", "6", "--output", str(tmp_path / "full.json")]) == 0
+        full = (tmp_path / "full.json").read_text()
+        assert len(full) > 1000 and full.startswith(written)
 
 
 class TestVerifyCommand:

@@ -6,7 +6,8 @@ in integers (the integer line kernel of polynomials); tests/reference_exact.py
 keeps the forms that visit every term and every pair in Fractions, the scan
 that tries every alpha against every line, the choice of the worst
 violation by its exact Fraction gap, the ranking of a whole list of
-violations weighted by a factorial, and the decision's escalation loop.
+violations weighted by a factorial, the decision's escalation loop, and the
+line sums that decoded each index's multinomial from its radix code.
 Exact arithmetic makes the comparison an identity, not a tolerance.
 """
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from balltrace.exact import ComplexFraction
 from balltrace.membership import (
     _check_budget,
+    _line_sums,
     _scan,
     _worst_violation,
     is_boundary_trace,
@@ -40,6 +42,7 @@ from reference_exact import (
     reference_cauchy,
     reference_escalation,
     reference_inner_product,
+    reference_line_sums,
     reference_moment,
     reference_scan,
     reference_sweep,
@@ -130,8 +133,54 @@ def test_scan_walks_the_pairs_that_exist(f, data):
     r = f - cauchy_transform_poly(f)
     order = data.draw(st.integers(0, f.max_degree() + 2))
     assert _scan(r, order) == reference_scan(r, order)  # alpha, beta, s_re, s_im
+    assert list(_line_sums(r, order)) == reference_line_sums(r, order)
     n = r.dim
     assert sum(math.comb(size + n, n) for *_, size in _check_budget(r, order)) == existing_pairs(r, order)
+
+
+@st.composite
+def sparse_residuals(draw):
+    """(r, order): the residual of up to 4 terms zeta^mu conj(zeta)^nu, nu != 0 and mu != nu, in
+    n = 50 or 300, on 4 of the variables, with mu = nu + extra where mu dominates nu (a B line),
+    at an order up to 3 in n = 50 and at order 2 in n = 300.  With no line d = 0, every box
+    holds at most C(order - 1 + n, n) pairs."""
+    n = draw(st.sampled_from((50, 300)))
+    variables = st.sampled_from((0, 1, n // 2, n - 1))
+    term = st.tuples(st.lists(variables, max_size=2), st.lists(variables, min_size=1, max_size=2),
+                     st.booleans(), coeffs)
+
+    def index(parts):
+        out = [0] * n
+        for k in parts:
+            out[k] += 1
+        return MultiIndex(out)
+
+    terms = {}
+    for extra, nu, dominates, c in draw(st.lists(term, min_size=1, max_size=4)):
+        mu = index(extra + nu if dominates else extra)
+        if mu != index(nu):
+            terms[mu, index(nu)] = c
+    f = SpherePolynomial(n, terms)
+    return f - cauchy_transform_poly(f), draw(st.integers(1, 3)) if n == 50 else 2
+
+
+def test_line_sums_weigh_an_unmet_beta():
+    # f = |zeta_1|^4 / 2 - |zeta_1 zeta_2|^2 - zeta_1^3 conj(zeta_2)^3: on the line d = 0 of r a
+    # violated pair's beta is an index that no term of the line meets, so c takes its own multinomial
+    f = SpherePolynomial(2, {
+        (MultiIndex((2, 0)), MultiIndex((2, 0))): ComplexFraction(Fraction(1, 2)),
+        (MultiIndex((1, 1)), MultiIndex((1, 1))): ComplexFraction(-1),
+        (MultiIndex((3, 0)), MultiIndex((0, 3))): ComplexFraction(-1),
+    })
+    r = f - cauchy_transform_poly(f)
+    assert list(_line_sums(r, 5)) == reference_line_sums(r, 5)
+
+
+@given(sparse_residuals())
+@settings(max_examples=60, deadline=None)
+def test_line_sums_match_the_radix_decoder_in_high_dimension(case):
+    r, order = case
+    assert list(_line_sums(r, order)) == reference_line_sums(r, order)
 
 
 @given(st.one_of(polys(), wide_polys()), st.data())

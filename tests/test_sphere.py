@@ -167,6 +167,17 @@ class TestStreamDigest:
                     h.update(s.sample_batch(count).tobytes())
         assert h.hexdigest() == "61cf3366c001e6d27c1c914d8b49791aac24bd880ab2778ec90d58ff58547523"
 
+    def test_high_dimension_stream_bytes_are_pinned(self):
+        # from n = 8 numpy sums each row's |z_k|^2 pairwise, so a column-by-column
+        # norm keeps the bits of n <= 7 and moves these; the counts cross a chunk boundary
+        h = hashlib.sha256()
+        for dim in (8, 9, 16):
+            for seed in (3, 2**63 + 5):
+                s = SphereSampler(dim, seed)
+                for count in (1, 2047, 2048, CHUNK_DRAWS - 3000, 5):
+                    h.update(s.sample_batch(count).tobytes())
+        assert h.hexdigest() == "0cac5b89dc22616ab2780cea3e0fb9216ba0c315c99938632298f8279d5c971c"
+
 
 class TestMonomialEval:
     def test_examples(self):
