@@ -42,7 +42,7 @@ from .kernels import cauchy_kernel, cauchy_series, poisson_kernel
 from .membership import WORK_BUDGET, is_boundary_trace, sweep, szego_residual
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import SpherePolynomial, cauchy_transform_poly, mc_moment, moment
-from .sphere import _MASK64, SphereSampler
+from .sphere import _MASK64, SphereSampler, norm
 from .transforms import RADIAL_CSV_HEADER, poisson_transform_mc, radial_scan
 
 EXIT_OK = 0
@@ -329,15 +329,15 @@ def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:
 
 def _random_ball_point(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    z /= max(1.0, float(np.linalg.norm(z)))
+    z /= max(1.0, norm(z))
     return scale * z
 
 
 def _random_sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    while float(np.linalg.norm(z)) == 0.0:
+    while norm(z) == 0.0:
         z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return z / float(np.linalg.norm(z))
+    return z / norm(z)
 
 
 # ---------------------------------------------------------------------------

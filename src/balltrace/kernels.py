@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceError, DomainError, SingularityError
-from .sphere import _coords, herm_inner
+from .errors import DivergenceError, DomainError, SingularityError
+from .sphere import _coords, _rows, norm
 
 SINGULARITY_GUARD = 1e-14
 
@@ -40,13 +40,12 @@ class KernelTruncation:
     tail_bound: float
 
 
-def _pair_inner(z: np.ndarray, w: np.ndarray):
-    """<z, w_i> for a single z against a point or an (N, n) batch of w."""
+def _pair_inner(z: np.ndarray, w):
+    """(<z, w_i> for each row w_i of a point or a batch, whether w was a batch); einsum calls no BLAS."""
     if z.ndim != 1:
         raise ValueError("first argument must be a single point")
-    if z.shape[0] != w.shape[-1]:
-        raise DimensionMismatchError(f"point dimensions differ: {z.shape[0]} vs {w.shape[-1]}")
-    return np.conj(w) @ z if w.ndim == 2 else herm_inner(z, w)
+    rows, batched = _rows(w, z.shape[0])
+    return np.einsum("ij,j->i", np.conj(rows), z), batched
 
 
 def cauchy_kernel(z, w):
@@ -55,12 +54,13 @@ def cauchy_kernel(z, w):
     Raises SingularityError when any pair comes within SINGULARITY_GUARD of
     the singular set <z, w> = 1 (float blowup must be an error, not an Inf).
     """
-    zv, wv = _coords(z), _coords(w)
-    n = zv.shape[0]
-    denom = 1.0 - _pair_inner(zv, wv)
+    zv = _coords(z)
+    inner, batched = _pair_inner(zv, w)
+    denom = 1.0 - inner
     if np.min(np.abs(denom)) <= SINGULARITY_GUARD:
         raise SingularityError("cauchy kernel evaluated too close to <z, w> = 1")
-    return denom ** (-n)
+    out = denom ** (-zv.shape[0])
+    return out if batched else complex(out[0])
 
 
 def poisson_kernel(z, zeta):
@@ -74,9 +74,9 @@ def poisson_kernel(z, zeta):
     norm_sq = float(np.sum(np.abs(zv) ** 2))
     if norm_sq >= 1.0:
         raise DomainError(f"poisson kernel requires |z| < 1, got |z|^2 = {norm_sq}")
-    sv = _coords(zeta)
-    denom = np.abs(1.0 - _pair_inner(zv, sv)) ** (2 * n)
-    return (1.0 - norm_sq) ** n / denom
+    inner, batched = _pair_inner(zv, zeta)
+    out = (1.0 - norm_sq) ** n / np.abs(1.0 - inner) ** (2 * n)
+    return out if batched else float(out[0])
 
 
 def _radial_coeff(p: int, q: int, dim: int, i):
@@ -147,10 +147,10 @@ def cauchy_series(z, w, order: int) -> tuple[complex, KernelTruncation]:
     if order < 0:
         raise ValueError("order must be >= 0")
     n = zv.shape[0]
-    r = float(np.linalg.norm(zv) * np.linalg.norm(wv))
+    r = norm(zv) * norm(wv)
     if r >= 1.0:
         raise DivergenceError(f"kernel series requires |z||w| < 1, got {r}")
-    s = _pair_inner(zv, wv)
+    s = complex(_pair_inner(zv, wv)[0][0])
     total = 0.0 + 0.0j
     power = 1.0 + 0.0j
     for j in range(order + 1):

@@ -65,12 +65,11 @@ def herm_inner(z, w) -> complex:
     return complex(np.sum(z * np.conj(w)))
 
 
-def norm(z) -> float:
-    """Euclidean length |z| = <z, z>^(1/2) of a single point."""
-    z = np.asarray(z, dtype=np.complex128)
-    if z.ndim != 1:
-        raise ValueError("norm takes a single point")
-    return float(np.linalg.norm(z))
+def norm(z):
+    """Euclidean length |z| = <z, z>^(1/2) of a point, or the (N,) lengths of an (N, n) batch's rows."""
+    rows, batched = _rows(z)
+    lengths = np.linalg.norm(rows, axis=1)
+    return lengths if batched else float(lengths[0])
 
 
 class SpherePoint:
@@ -84,7 +83,7 @@ class SpherePoint:
 
     def __init__(self, coords):
         z = as_point(coords)
-        r = float(np.linalg.norm(z))
+        r = norm(z)
         if abs(r - 1.0) > RENORMALIZE_TOL:
             raise DomainError(f"not a sphere point: |coords| = {r}")
         if abs(r - 1.0) > 1e-16:
@@ -273,7 +272,7 @@ def fold_mean_and_stderr(blocks):
     """mean_and_stderr of the concatenation of 1-D blocks, holding one block at a time.
 
     Each block's mean and sum of squared deviations fold into running ones by
-    Chan's pairwise update.
+    Chan's pairwise update; the squares are summed by np.sum, never by BLAS.
     """
     mean, m2, n = 0j, 0.0, 0
     for block in blocks:
@@ -283,7 +282,7 @@ def fold_mean_and_stderr(blocks):
         delta = block_mean - mean
         n += rows
         mean += delta * (rows / n)
-        m2 += float(np.vdot(dev, dev).real) + abs(delta) ** 2 * (rows * (n - rows) / n)
+        m2 += float(np.sum(np.square(dev.view(np.float64)))) + abs(delta) ** 2 * (rows * (n - rows) / n)
     if n == 0:
         raise ValueError("empty sample batch")
     stderr = math.inf if n == 1 else math.sqrt(m2 / (n - 1) / n)

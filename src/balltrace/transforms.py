@@ -54,7 +54,7 @@ from . import polynomials
 from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import MCEstimate, SpherePolynomial, _weighted_mean
-from .sphere import SphereSampler, _PowerTable, _rows
+from .sphere import SphereSampler, _PowerTable, _rows, norm
 
 RADIAL_TAIL_TOL = 1e-8      # truncation budget used by radial_scan
 MAX_SERIES_ORDER = 4096     # hard cap for automatic order selection
@@ -97,7 +97,7 @@ def _kernel_transform_mc(kernel, g, z, sampler, n_samples) -> MCEstimate:
         raise DimensionMismatchError(
             f"point dimension {zv.shape[0]} does not match sampler dimension {sampler.dim}"
         )
-    if float(np.linalg.norm(zv)) >= 1.0:
+    if norm(zv) >= 1.0:
         raise DomainError("transform point must lie inside the open ball")
     return _weighted_mean(lambda batch: kernel(zv, batch), g, sampler, n_samples)
 
@@ -114,8 +114,8 @@ def _radial_sums(x: np.ndarray, series: Sequence[tuple[int, int, int]], dim: int
     Returns a (len(x), len(series)) array; a negative cut sums to 0.  The
     coefficients form one matrix (a column per series, zero past its cut);
     the powers x^0..x^top come from one table per block of values
-    (cumulative products, blocks under _TABLE_CELLS entries), and one matrix
-    product sums them.
+    (cumulative products, blocks under _TABLE_CELLS entries), and one einsum
+    sums them in a fixed order: no BLAS call, so no BLAS kernel moves the bits.
     """
     top = max([cut + 1 for _, _, cut in series] + [0])
     i = np.arange(top)
@@ -131,7 +131,7 @@ def _radial_sums(x: np.ndarray, series: Sequence[tuple[int, int, int]], dim: int
         table[:, :1] = 1.0
         table[:, 1:] = blk[:, None]
         np.cumprod(table, axis=1, out=table)
-        out[lo:lo + step] = table @ coeffs
+        out[lo:lo + step] = np.einsum("ij,jk->ik", table, coeffs)
     return out
 
 
@@ -201,12 +201,13 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
         raise DomainError("Poisson series requires |z| < 1 for every point")
 
     levels, where = np.unique(s, return_inverse=True)
-    radial, normalizer = _series_sums(f, levels, order)
-    zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
-    total = np.zeros(Z.shape[0], dtype=np.complex128)
-    for col, h in enumerate(f.harmonics().values()):
-        total = total + radial[where, col] * h._eval_on(zp, zc)
-    result = total / normalizer[where]
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: reported below
+        radial, normalizer = _series_sums(f, levels, order)
+        zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
+        total = np.zeros(Z.shape[0], dtype=np.complex128)
+        for col, h in enumerate(f.harmonics().values()):
+            total = total + radial[where, col] * h._eval_on(zp, zc)
+        result = total / normalizer[where]
     if not np.all(np.isfinite(result)):
         raise ConvergenceError(f"the series leaves the float range at order {order} in dimension {f.dim}")
     return result if batched else complex(result[0])
@@ -321,8 +322,8 @@ def _lp_estimate(values: np.ndarray, p: float) -> tuple[float, float]:
         )
     if m == 0.0:
         return 0.0, 0.0
-    norm = m ** (1.0 / p)
-    return norm, se_mean * norm / (p * m)
+    lp_norm = m ** (1.0 / p)
+    return lp_norm, se_mean * lp_norm / (p * m)
 
 
 def radial_scan(

@@ -224,9 +224,9 @@ COORDINATE_RADIAL = (
 )
 MIXED2_RADIAL = (
     "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n"
-    "0.29999999999999999,2,0.62001916398156742,0.007345785402417879,0.11471181247658696,2000,5\n"
-    "0.5,2,0.52239746815292654,0.0060742732287353733,0.21731693817886402,2000,5\n"
-    "0.69999999999999996,2,0.38307079348066525,0.0043369609574958196,0.35623546274002249,2000,5\n"
+    "0.29999999999999999,2,0.62001916398156742,0.007345785402417879,0.11471181247658692,2000,5\n"
+    "0.5,2,0.52239746815292654,0.0060742732287353716,0.21731693817886402,2000,5\n"
+    "0.69999999999999996,2,0.38307079348066531,0.0043369609574958204,0.35623546274002243,2000,5\n"
 )
 
 

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from balltrace import cli
 from balltrace.errors import DimensionMismatchError, DivergenceError, DomainError, SingularityError
 from balltrace.kernels import (
     KernelTruncation,
@@ -12,13 +17,30 @@ from balltrace.kernels import (
     series_tail_bound,
 )
 from balltrace.multiindex import graded_indices, monomial_norm_sq
-from balltrace.sphere import SphereSampler, mean_and_stderr
+from balltrace.sphere import SphereSampler, mean_and_stderr, norm
+from balltrace.transforms import poisson_transform_mc
+from test_cli import MIXED2
 
 
 def random_ball_point(rng, n, radius):
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     z /= max(1.0, float(np.linalg.norm(z)) / radius)
     return z
+
+
+def assert_points_have_their_rows_bits(evaluate):
+    """evaluate(z, w) of a point w is its value as a one-row batch: the bits of its row in every batch.
+
+    Batch lengths 1, 2, 7 and 2048 (a whole Monte-Carlo block), n = 1..16, z inside the ball.
+    """
+    rng = np.random.Generator(np.random.Philox(key=np.array([20261020, 0], dtype=np.uint64)))
+    for n in range(1, 17):
+        z = random_ball_point(rng, n, 0.9)
+        for length in (1, 2, 7, 2048):
+            batch = SphereSampler(n, seed=length).sample_batch(length)
+            rows = evaluate(z, batch)
+            assert rows.shape == (length,)
+            assert [evaluate(z, point) for point in batch] == rows.tolist(), (n, length)
 
 
 def enumerated_series(z, w, order):
@@ -60,12 +82,8 @@ class TestCauchyKernel:
             z, w = random_ball_point(rng, 2, 0.9), random_ball_point(rng, 2, 0.9)
             assert cauchy_kernel(z, w) == pytest.approx(np.conj(cauchy_kernel(w, z)))
 
-    def test_batch_matches_pointwise(self, sampler2):
-        z = np.array([0.4, 0.1j])
-        batch = sampler2.sample_batch(8)
-        vals = cauchy_kernel(z, batch)
-        for i in range(8):
-            assert vals[i] == pytest.approx(cauchy_kernel(z, batch[i]))
+    def test_batch_matches_pointwise(self):
+        assert_points_have_their_rows_bits(cauchy_kernel)
 
 
 class TestDimensionMismatch:
@@ -97,6 +115,9 @@ class TestPoissonKernel:
             rhs = cauchy_kernel(z, zeta) * cauchy_kernel(zeta, z) / cauchy_kernel(z, z)
             assert abs(lhs - rhs) <= 1e-10
 
+    def test_batch_matches_pointwise(self):
+        assert_points_have_their_rows_bits(poisson_kernel)
+
     def test_outside_ball_rejected(self):
         with pytest.raises(DomainError):
             poisson_kernel(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
@@ -107,6 +128,11 @@ class TestPoissonKernel:
         z = np.array([0.4, 0.3j])
         mean, se = mean_and_stderr(poisson_kernel(z, s.sample_batch(200_000)))
         assert abs(mean.real - 1) <= 4 * se
+
+
+def test_norm_batch_matches_pointwise():
+    assert_points_have_their_rows_bits(lambda z, w: norm(w))
+    assert_points_have_their_rows_bits(lambda z, w: norm(w - z))  # rows off the sphere
 
 
 class TestCauchySeries:
@@ -197,3 +223,29 @@ class TestSeriesTailBound:
         for r in (0.1, 0.5, 0.9, 0.99):
             bounds = [series_tail_bound(r, order, n) for order in range(60)]
             assert all(a >= b for a, b in zip(bounds, bounds[1:]))
+
+
+def print_float_outputs(mixed_path):
+    """Print radial-scan's stdout on MIXED2, a Poisson kernel batch and a Poisson Monte-Carlo estimate."""
+    cli.main(["radial-scan", "--input", mixed_path, "--radii", "0.3,0.5,0.7", "--seed", "5", "--samples", "2000"])
+    z = np.array([0.3, -0.2j, 0.1 + 0.4j])
+    print(poisson_kernel(z, SphereSampler(3, 7).sample_batch(2048)).tobytes().hex())
+    estimate = poisson_transform_mc(lambda Z: Z[:, 0] * Z[:, 1].conj(), z, SphereSampler(3, 8), 10_000)
+    print(repr(estimate.value), repr(estimate.stderr))
+
+
+def test_float_outputs_do_not_depend_on_the_blas_kernel(capsys, tmp_path):
+    # every sum that reaches an output is a fixed-order numpy sum with no BLAS call, so a child
+    # process on OpenBLAS's generic x86-64 kernel prints this process's bytes
+    path = tmp_path / "mixed.json"
+    path.write_text(MIXED2)
+    print_float_outputs(str(path))
+    here = capsys.readouterr().out
+    tests, src = Path(__file__).resolve().parent, Path(cli.__file__).parents[1]
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    child = (f"import sys; sys.path.insert(0, {str(tests)!r}); "
+             f"from {Path(__file__).stem} import print_float_outputs; print_float_outputs({str(path)!r})")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == here

@@ -237,7 +237,6 @@ class TestPoissonSeries:
         with pytest.raises(DomainError):
             poisson_series_eval(SpherePolynomial.one(2), np.array([1.0, 0.0]), 3)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
     def test_series_past_the_float_range_raises(self):
         # conj(zeta_1) in n = 1000: binom(i + 999, 999) overflows a float near i = 400
         z = np.zeros(1000)
