@@ -4,7 +4,10 @@
 For a few boundary functions (a member, a pure anti-holomorphic part, and a
 mixed non-member) the script scans ||P[f]_r - f||_p over a radius grid and
 writes one CSV per function.  The anti-holomorphic coordinate has the exact
-error law (1-r)/sqrt(2) at p = 2, which makes a handy calibration line.
+error law (1-r)/sqrt(2) at p = 2, which makes a handy calibration line.  Its
+Poisson slice is r conj(zeta_1) with no series cut, so each row's error is
+(1-r) times the sample Lp norm of f to rounding; the law holds up to the
+Monte-Carlo error of that one norm, the same at every radius.
 """
 
 import argparse

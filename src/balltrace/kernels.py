@@ -79,60 +79,36 @@ def poisson_kernel(z, zeta):
     return out if batched else float(out[0])
 
 
-def _radial_coeff(p: int, q: int, dim: int, i):
-    """t_i of the H(p,q) radial series (transforms docstring); i is an int or an integer array.
-
-    t_i = binom(i+dim-1, dim-1) * prod_{j<min(p,q)} (i+dim+j) / (i+dim+max(p,q)+j),
-    the closed form of t_0 = (p+n-1)!(q+n-1)! / ((p+q+n-1)!(n-1)!) times the
-    ratios (p+n+i)(q+n+i) / ((p+q+n+i)(i+1)); p = q = 0 gives the binomials of G.
-    """
-    lo, hi = min(p, q), max(p, q)
+def _binom_coeff(dim: int, i):
+    """binom(i+dim-1, dim-1) as a float product; i is an int or an integer array."""
     t = 1.0
     for k in range(1, dim):
         t = t * (i + k) / k
-    for j in range(lo):
-        t = t * (i + dim + j) / (i + dim + hi + j)
     return t
-
-
-def _radial_tail(p: int, q: int, dim: int, s: float, k: int) -> float:
-    """Bound for sum_{i>k} t_i s^i of the H(p,q) radial series, 0 <= s < 1.
-
-    The ratio t_(i+1)/t_i = (a+i)(b+i)/((c+i)(1+i)), a = p+n, b = q+n,
-    c = p+q+n, is nonincreasing in i: its log-derivative is
-    1/u + 1/v - 1/U - 1/V with u, v = a+i, b+i inside [U, V] = [1+i, c+i]
-    and u + v >= U + V, and for u <= v that gives (u-U)/(uU) >= (V-v)/(vV).
-    So past k the terms shrink at least geometrically with rho = s *
-    ratio(k+1), and the tail is at most t_(k+1) s^(k+1) / (1-rho).  The whole
-    series is at most G(s) = (1-s)^(-n) (t_i <= binom(i+n-1, n-1), see
-    transforms.poisson_series_tail), the fallback when k < 0 or rho >= 1.
-    Past the float range G is inf, and a bound formed from it inf or nan.
-    """
-    try:
-        full = (1.0 - s) ** (-dim)
-    except OverflowError:
-        full = math.inf
-    if k < 0:
-        return full
-    if s == 0.0:
-        return 0.0
-    i = k + 1
-    ratio = s * (p + dim + i) * (q + dim + i) / ((p + q + dim + i) * (i + 1))
-    if ratio >= 1.0:
-        return full
-    return min(_radial_coeff(p, q, dim, i) * s**i / (1.0 - ratio), full)
 
 
 def series_tail_bound(r: float, order: int, dim: int) -> float:
     """Upper bound for sum_{j > order} binom(j+dim-1, dim-1) r^j, 0 <= r < 1.
 
-    The p = q = 0 case of _radial_tail: the geometric-majorant bound
-    min(t_{order+1}/(1-q), full mass) with q = r (order+dim+1)/(order+2);
-    monotone nonincreasing in the order.
+    The geometric majorant of the module docstring, min(t_(order+1)/(1-q),
+    full mass); monotone nonincreasing in the order.
     """
     if not 0.0 <= r < 1.0:
         raise DomainError(f"tail bound requires 0 <= r < 1, got {r}")
-    return _radial_tail(0, 0, dim, r, order)
+    try:
+        full = (1.0 - r) ** (-dim)
+    except OverflowError:
+        full = math.inf
+    if order < 0:
+        return full
+    if r == 0.0:
+        return 0.0
+    i = order + 1
+    # (dim+i)^2 / ((dim+i)(i+1)) left unreduced: it fixes the bound's last bits
+    ratio = r * (dim + i) * (dim + i) / ((dim + i) * (i + 1))
+    if ratio >= 1.0:
+        return full
+    return min(_binom_coeff(dim, i) * r**i / (1.0 - ratio), full)
 
 
 def cauchy_series(z, w, order: int) -> tuple[complex, KernelTruncation]:

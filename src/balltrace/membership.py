@@ -39,7 +39,10 @@ each line's box and visits only pairs that exist.  As max(|alpha|, |beta|) =
 |gamma| + h_d, the lines' first hits at max_degree + 1 give N*, and so where
 escalating from N <= max_degree by ESCALATION_STEP first finds a violation:
 N + k ESCALATION_STEP, k = ceil(max(N* - N, 0) / ESCALATION_STEP), if
-k < MAX_ESCALATIONS, else max_degree + 1.  At sweep order N let
+k < MAX_ESCALATIONS, else max_degree + 1.  That order is below
+N* + ESCALATION_STEP, so with ESCALATION_STEP = 2 at most max_degree + 1,
+and its pairs are a graded-lex prefix of each line's hits at
+max_degree + 1.  At sweep order N let
 K = N + r.max_degree(), D = r's stored denominator (the lcm of those of its
 coefficient parts) and L the lcm of the multinomials of the indices w met,
 all with |w| <= K (L = 1 in n = 1).  With the weights L / multinomial(w),
@@ -275,13 +278,14 @@ def _scan(r: SpherePolynomial, order: int) -> list[tuple]:
     return out
 
 
-def _worst_violation(r: SpherePolynomial, order: int) -> tuple[MultiIndex, MultiIndex] | None:
+def _worst_violation(r: SpherePolynomial, order: int, sums=None) -> tuple[MultiIndex, MultiIndex] | None:
     """(alpha, beta) of the largest |s|^2 c (module docstring), None if no pair is violated.
 
-    A running worst over the line sums; ties go to the first pair in graded-lex order.
+    A running worst over the line sums, those of a scan at order unless sums
+    gives them; ties go to the first pair in graded-lex order.
     """
     worst = None
-    for low, high, hits in _line_sums(r, order):
+    for low, high, hits in _line_sums(r, order) if sums is None else sums:
         if hits:  # max keeps the first of equal sizes on a line; across lines alpha decides
             gamma, s_re, s_im, c = max(hits, key=lambda h: (h[1] * h[1] + h[2] * h[2]) * h[3])
             alpha = tuple.__new__(MultiIndex, map(add, gamma, low))
@@ -341,12 +345,17 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
     """Decide membership exactly and produce a certificate.
 
     The decision itself comes from the exact Szego residual r = f - C[f],
-    formed once and used both for ||r||^2 and for the scans.  A non-member's
-    violation is the worst of one scan: at sweep_order if that is at least
-    max_degree + 1 (the default), else where escalating from it by
-    ESCALATION_STEP first finds one, computed from the lowest violated order
-    (MAX_ESCALATIONS steps at most, else max_degree + 1; module docstring).
-    A negative order or a scan over WORK_BUDGET raises PreconditionError.
+    formed once and used both for ||r||^2 and for the scan.  A non-member's
+    violation is the worst of one scan, at max(sweep_order, max_degree + 1).
+    At sweep_order >= max_degree + 1 (the default) that is the whole scan.
+    Below it, the violation order is where escalating from sweep_order by
+    ESCALATION_STEP first finds a violated pair, computed from the lowest
+    violated order of the scan (MAX_ESCALATIONS steps at most, else
+    max_degree + 1; module docstring), and the worst is taken among the
+    scan's pairs up to that order.  Every s of one scan carries the same
+    factor D L, so their ranking and its ties are those of a scan at that
+    order.  A negative order or a scan over WORK_BUDGET raises
+    PreconditionError.
     """
     if sweep_order is not None and sweep_order < 0:
         raise PreconditionError(f"order must be >= 0, got {sweep_order}")
@@ -357,11 +366,15 @@ def is_boundary_trace(f: SpherePolynomial, sweep_order: int | None = None) -> Me
         )
     bound = f.max_degree() + 1
     order = bound if sweep_order is None else sweep_order
-    if order < bound:  # where the escalation from order stops (module docstring)
-        lowest = min(max(sum(lo), sum(hi)) + sum(hits[0][0]) for lo, hi, hits in _line_sums(r, bound) if hits)
+    sums = None
+    if order < bound:  # where the escalation from order stops (module docstring), and its pairs
+        sums = [(lo, hi, hits) for lo, hi, hits in _line_sums(r, bound) if hits]
+        lowest = min(max(sum(lo), sum(hi)) + sum(hits[0][0]) for lo, hi, hits in sums)
         steps = -(-max(lowest - order, 0) // ESCALATION_STEP)
         order = order + steps * ESCALATION_STEP if steps < MAX_ESCALATIONS else bound
-    worst = _worst_violation(r, order)
+        sums = [(lo, hi, [hit for hit in hits if sum(hit[0]) + max(sum(lo), sum(hi)) <= order])
+                for lo, hi, hits in sums]
+    worst = _worst_violation(r, order, sums)
     return MembershipCertificate(
         member=False,
         residual_sq=residual_sq,

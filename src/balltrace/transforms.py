@@ -3,41 +3,26 @@
 The exact Cauchy transform C[f] (the Szego projection) is derived and computed
 in polynomials.cauchy_transform_poly; this module keeps the name.
 
-Poisson integral of polynomial data.  P[f](z) is evaluated through the
-moment expansion
+Poisson integral of polynomial data.  f splits exactly into components h in
+H(p,q), the harmonic polynomials homogeneous of degree p in z and q in
+conj(z) (SpherePolynomial.harmonics), and the invariant Poisson integral
+acts on each as one radial factor (Rudin, Function Theory in the Unit Ball
+of C^n, the chapter on H(p,q); Folland, Proc. AMS 47, 1975):
 
-    P[f](z) = C(z,z)^(-1) * sum over index pairs (v, w) of
-              norm_sq(w)^(-1) norm_sq(v)^(-1) z^w conj(z)^v * moment(f, v, w),
+    P[h](z) = phi_pq(|z|^2) h(z),
+    phi_pq(s) = 2F1(p, q; p+q+n; s) / 2F1(p, q; p+q+n; 1) = sum_i t_i s^i,
+    t_0 = binom(p+n-1, p) / binom(p+q+n-1, p),
+    t_(i+1) / t_i = (p+i)(q+i) / ((p+q+n+i)(i+1)).
 
-with both the double sum and the normalizing factor truncated to the same
-order N (|v|, |w| <= N): the normalizer C(z,z) is itself the diagonal
-series sum_v norm_sq(v)^(-1) |z^v|^2, which collapses multinomially to
-G_N(|z|^2) with G_N(s) = sum_{j<=N} binom(j+n-1, n-1) s^j, so a constant f
-telescopes to exactly 1 at every order.
-
-The double sum is the integral of f against the kernel |C_N(z, zeta)|^2,
-C_N the degree-N truncation of the Cauchy kernel; the truncation is
-U(n)-invariant, so by Schur the sum acts on each bigraded harmonic space
-H(p,q) (harmonic polynomials homogeneous of degree p in z and q in
-conj(z)) as a scalar radial factor.  f splits exactly into components
-h in H(p,q) (SpherePolynomial.harmonics), and h contributes
-
-    S_(p,q),N(s) h(z),   S_(p,q),N(s) = sum_{i <= N - max(p,q)} t_i s^i,  s = |z|^2,
-    t_0 = (p+n-1)! (q+n-1)! / ((p+q+n-1)! (n-1)!),
-    t_(i+1) / t_i = (p+n+i)(q+n+i) / ((p+q+n+i)(i+1)),
-
-the truncation of 2F1(p+n, q+n; p+q+n; s) / 2F1(p, q; p+q+n; 1).  Euler's
-transform turns the untruncated quotient by G = (1-s)^(-n) into the closed
-form P[h](z) = 2F1(p, q; p+q+n; s) / 2F1(p, q; p+q+n; 1) h(z) (Rudin,
-Function Theory in the Unit Ball of C^n, the chapter on H(p,q)); for p = 0
-or q = 0 the series is G_(N - p - q) and the factor is 1.  Evaluation is a
-scalar series per component at each distinct |z|^2, so its cost does not
-grow with the radius beyond the order.  On a slice z = r zeta of sphere
-points h(z) = r^(p+q) h(zeta) and |z|^2 = r^2, so radial_scan evaluates the
-components once per sample batch and each radius is one weighted sum of
-them.  Truncation tails are certified per component by a scalar geometric
-majorant (the ratio above is nonincreasing in i) plus a normalizer-truncation
-term; order selection iterates until the summed bound fits the tolerance.
+t_0 is Gauss's value of 1 / 2F1(p, q; p+q+n; 1), so the t_i are
+nonnegative and sum to 1: no term exceeds 1 in any dimension.  When p = 0
+or q = 0 the ratio vanishes at i = 0 and phi_pq = 1, so holomorphic and
+antiholomorphic components pass unchanged and need no series.  A mixed
+component's profile is cut after t_N, N the order of poisson_series_eval;
+the cut acts on each H(p,q) alone, so it commutes with the unitary maps of
+C^n.  On a slice z = r zeta of sphere points h(z) = r^(p+q) h(zeta) and
+|z|^2 = r^2, so radial_scan evaluates the components once per sample batch
+and weighs each by r^(p+q) times its cut profile at r^2.
 """
 
 from __future__ import annotations
@@ -51,7 +36,7 @@ import numpy as np
 from .errors import ConvergenceError, DimensionMismatchError, DomainError, NumericalError
 from .exact import format_float
 from . import polynomials
-from .kernels import _radial_coeff, _radial_tail, cauchy_kernel, poisson_kernel
+from .kernels import _binom_coeff, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import MCEstimate, SpherePolynomial, _weighted_mean
 from .sphere import SphereSampler, _PowerTable, _rows, norm
@@ -105,53 +90,56 @@ def _kernel_transform_mc(kernel, g, z, sampler, n_samples) -> MCEstimate:
 # ---------------------------------------------------------------------------
 # Poisson series on polynomial data
 
-_TABLE_CELLS = 1 << 20      # entries of one block of the power table in _radial_sums
+_TABLE_CELLS = 1 << 20      # entries of one block of the term table in _profile
 
 
-def _radial_sums(x: np.ndarray, series: Sequence[tuple[int, int, int]], dim: int) -> np.ndarray:
-    """sum_{i<=cut} t_i x^i for each (p, q, cut) of series at every value of x.
+def _profile_factors(p: int, q: int, dim: int, cut: int) -> np.ndarray:
+    """t_0 and the ratios t_(i+1)/t_i for i < cut: their cumulative products are t_0..t_cut."""
+    i = np.arange(cut)
+    factors = np.empty(cut + 1)
+    factors[0] = math.comb(p + dim - 1, p) / math.comb(p + q + dim - 1, p)
+    factors[1:] = (p + i) * (q + i) / ((p + q + dim + i) * (i + 1))
+    return factors
 
-    Returns a (len(x), len(series)) array; a negative cut sums to 0.  The
-    coefficients form one matrix (a column per series, zero past its cut);
-    the powers x^0..x^top come from one table per block of values
-    (cumulative products, blocks under _TABLE_CELLS entries), and one einsum
-    sums them in a fixed order: no BLAS call, so no BLAS kernel moves the bits.
+
+def _profile(p: int, q: int, dim: int, s: np.ndarray, cut: int) -> np.ndarray:
+    """phi_pq cut after t_cut, sum_{i<=cut} t_i s^i, at every value of s (module docstring).
+
+    Each row of the term table is the cumulative product of t_0 and the
+    ratios times s, so no term leaves [0, 1]; rows come in blocks under
+    _TABLE_CELLS entries, and np.sum adds each row in a fixed order.
     """
-    top = max([cut + 1 for _, _, cut in series] + [0])
-    i = np.arange(top)
-    coeffs = np.zeros((top, len(series)))
-    for col, (p, q, cut) in enumerate(series):
-        if cut >= 0:
-            coeffs[:cut + 1, col] = _radial_coeff(p, q, dim, i[:cut + 1])
-    out = np.empty((x.shape[0], len(series)))
-    step = max(1, _TABLE_CELLS // max(top, 1))
-    for lo in range(0, x.shape[0], step):
-        blk = x[lo:lo + step]
-        table = np.empty((blk.shape[0], top))
-        table[:, :1] = 1.0
-        table[:, 1:] = blk[:, None]
-        np.cumprod(table, axis=1, out=table)
-        out[lo:lo + step] = np.einsum("ij,jk->ik", table, coeffs)
+    factors = _profile_factors(p, q, dim, cut)
+    out = np.empty(s.shape[0])
+    step = max(1, _TABLE_CELLS // (cut + 1))
+    for lo in range(0, s.shape[0], step):
+        blk = s[lo:lo + step]
+        table = np.empty((blk.shape[0], cut + 1))
+        table[:, 0] = factors[0]
+        table[:, 1:] = blk[:, None] * factors[1:]
+        out[lo:lo + step] = np.sum(np.cumprod(table, axis=1), axis=1)
     return out
 
 
 def _binom_partial_sums(s: np.ndarray, orders: Iterable[int], dim: int):
-    """G_K(s) = sum_{j<=K} binom(j+dim-1, dim-1) s^j for each requested K.
+    """G_K(s) = sum_{j<=K} binom(j+dim-1, dim-1) s^j for each requested K; negative K gives 0.
 
-    The p = q = 0 radial series; negative orders yield 0.
+    The normalizer of the truncated moment expansion (tests/reference_poisson.py).
+    Nothing here calls it; perfbench's traced radial run wraps it by name.
     """
-    wanted = sorted(set(orders))
-    sums = _radial_sums(s, [(0, 0, k) for k in wanted], dim)
-    return {k: sums[:, col] for col, k in enumerate(wanted)}
+    orders = set(orders)
+    j = np.arange(max(orders, default=-1) + 1)
+    sums = np.cumsum(_binom_coeff(dim, j) * s[:, None] ** j, axis=1)
+    return {k: sums[:, k] if k >= 0 else np.zeros(s.shape[0]) for k in orders}
 
 
 def _mixed_term_plan(mu: MultiIndex, nu: MultiIndex, order: int):
     """Enumeration plan for one mixed term: (eta list, float coefficients).
 
-    The term-by-term form of the series, kept as the reference route the
-    tests compare poisson_series_eval against.  The double series restricted
-    to the term zeta^mu conj(zeta)^nu is parametrized by a single index
-    eta >= 0 with exact coefficient
+    The term-by-term form of the truncated moment expansion, kept as the
+    reference route the tests compare poisson_series_eval against.  The
+    double series restricted to the term zeta^mu conj(zeta)^nu is
+    parametrized by a single index eta >= 0 with exact coefficient
         norm_sq(eta + (mu-nu)+)^(-1) norm_sq(eta + (nu-mu)+)^(-1)
             * norm_sq(eta + max(mu, nu)),
     multiplied by the monomial x^eta, x_k = |z_k|^2, and by the fixed factor
@@ -180,18 +168,15 @@ def _mixed_term_plan(mu: MultiIndex, nu: MultiIndex, order: int):
 
 
 def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndarray:
-    """Truncated moment expansion of the Poisson integral P[f] at z (|z| < 1).
+    """P[f] at z (|z| < 1) with every mixed component's profile cut after t_order.
 
-    The double series over index pairs (v, w) with |v|, |w| <= order divided
-    by the order-truncated normalizer G_order(|z|^2), summed through f's
-    H(p,q) components (see the module docstring): each component h adds
-    S_(p,q)(|z|^2) h(z), where S_(p,q) is its radial series cut at
-    order - max(p, q).  Accepts a single point or an (N, n) batch.  The exact
-    decomposition is made once per polynomial (f.harmonics()); a call then
-    costs one power table of z, one evaluation of every component, and
-    O(order) scalar work per distinct value of |z|^2.  See
-    choose_poisson_order for certified order selection.  A value past the
-    float range (in high n the binomials overflow) raises ConvergenceError.
+    Accepts a single point or an (N, n) batch.  Each component h in H(p,q)
+    of f.harmonics() adds phi_pq(|z|^2) h(z) (module docstring): h(z) itself
+    when p q = 0, else its cut profile, summed once per distinct value of
+    |z|^2.  The exact decomposition is made once per polynomial; a call then
+    costs one power table of z, one evaluation of every component and
+    O(order) work per mixed component and distinct |z|^2.  See
+    choose_poisson_order for certified order selection.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
@@ -201,54 +186,37 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
         raise DomainError("Poisson series requires |z| < 1 for every point")
 
     levels, where = np.unique(s, return_inverse=True)
-    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: reported below
-        radial, normalizer = _series_sums(f, levels, order)
-        zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
-        total = np.zeros(Z.shape[0], dtype=np.complex128)
-        for col, h in enumerate(f.harmonics().values()):
-            total = total + radial[where, col] * h._eval_on(zp, zc)
-        result = total / normalizer[where]
-    if not np.all(np.isfinite(result)):
-        raise ConvergenceError(f"the series leaves the float range at order {order} in dimension {f.dim}")
-    return result if batched else complex(result[0])
-
-
-def _series_sums(f: SpherePolynomial, s: np.ndarray, order: int):
-    """(S_(p,q) cut at order - max(p, q) for each component of f, G_order) at every s."""
-    radial = _radial_sums(s, [(p, q, order - max(p, q)) for p, q in f.harmonics()], f.dim)
-    return radial, _binom_partial_sums(s, (order,), f.dim)[order]
+    zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
+    total = np.zeros(Z.shape[0], dtype=np.complex128)
+    for (p, q), h in f.harmonics().items():
+        values = h._eval_on(zp, zc)
+        total = total + (_profile(p, q, f.dim, levels, order)[where] * values if p * q else values)
+    return total if batched else complex(total[0])
 
 
 def poisson_series_tail(f: SpherePolynomial, radius: float, order: int) -> float:
-    """Certified bound on |P[f](z) - truncated series| for all |z| <= radius.
+    """Certified bound on |P[f](z) - poisson_series_eval(f, z, order)| for all |z| <= radius.
 
-    With s = |z|^2 and N = order, P[f] = A/G and the series is A_N/G_N,
-    where A = sum_h S_(p,q)(s) h(z) over f's H(p,q) components, A_N cuts
-    every S_(p,q) at N - max(p,q), and G = (1-s)^(-n).  Then
-    P[f] - A_N/G_N = (A - A_N)/G - (A_N/G_N)(G - G_N)/G, and:
-      * |h(z)| <= size_h = (sum of |coefficients| of h) radius^(p+q);
-      * each component's part of A - A_N is bounded by its own scalar
-        geometric majorant (_radial_tail), and 1/G = (1-s)^n;
-      * t_i <= binom(i+n-1, n-1): by Euler S_(p,q) = G times
-        2F1(p,q;p+q+n;s) / 2F1(p,q;p+q+n;1), whose coefficients are
-        nonnegative and sum to 1, so t_i is an average of binomials of
-        index <= i.  Hence every cut S_(p,q) <= G_N, |A_N/G_N| <= sum size_h,
-        and the normalizer term is at most that times the tail of G.
-    Each damped tail (1-s)^n sum_{i>k} t_i s^i is nondecreasing in s (a
-    mixture of negative-binomial tail probabilities), so the bound at the
-    radius covers every smaller |z|.
+    Only mixed components are cut.  With s = radius^2 and k = order, a
+    component h in H(p,q) has |h(z)| <= mass_h radius^(p+q), mass_h the sum
+    of |coefficients| of h, and its profile's tail sum_{i>k} t_i s^i is at
+    most s^(k+1), since the t_i sum to 1.  Once pq <= (n+1)k + p + q + n,
+    (p+i)(q+i) <= (p+q+n+i)(i+1) for every i >= k: no term after t_k exceeds
+    it, and the tail is at most t_k s^(k+1) / (1-s).  The tail grows with s,
+    so the bound at the radius covers every smaller |z|; it is
+    nonincreasing in the order.
     """
     if not 0.0 <= radius < 1.0:
         raise DomainError(f"tail bound requires 0 <= radius < 1, got {radius}")
-    n = f.dim
-    s = radius * radius
-    numer_tail = 0.0
-    value_bound = 0.0
+    n, s = f.dim, radius * radius
+    total = 0.0
     for (p, q), mass in f._harmonic_masses().items():
-        size = mass * radius ** (p + q)
-        numer_tail += size * _radial_tail(p, q, n, s, order - max(p, q))
-        value_bound += size
-    return (1.0 - s) ** n * (numer_tail + value_bound * _radial_tail(0, 0, n, s, order))
+        if p * q:
+            tail = s ** (order + 1)
+            if p * q <= (n + 1) * order + p + q + n:
+                tail *= min(1.0, float(np.prod(_profile_factors(p, q, n, order))) / (1.0 - s))
+            total += mass * radius ** (p + q) * tail
+    return total
 
 
 def choose_poisson_order(
@@ -259,20 +227,19 @@ def choose_poisson_order(
 ) -> int:
     """Smallest practical truncation order with poisson_series_tail <= tol.
 
-    Doubles the candidate order until the certified tail fits, then refines
-    by bisection; raises ConvergenceError when tol is unreachable below
-    max_order.
+    0 when the order-0 tail fits, as it does for data with no mixed
+    component; otherwise doubles the candidate order until the certified
+    tail fits, then refines by bisection.  Raises ConvergenceError when tol
+    is unreachable below max_order.
     """
-    if f.is_zero():
-        return 0
-    order = 1
-    while not poisson_series_tail(f, radius, order) <= tol:  # a nan tail is not small
-        order *= 2
-        if order > max_order:
+    hi = 0
+    while poisson_series_tail(f, radius, hi) > tol:
+        hi = max(1, 2 * hi)
+        if hi > max_order:
             raise ConvergenceError(
                 f"tail bound does not reach {tol} below order {max_order} at radius {radius}"
             )
-    lo, hi = order // 2, order
+    lo = hi // 2
     while lo + 1 < hi:
         mid = (lo + hi) // 2
         if poisson_series_tail(f, radius, mid) <= tol:
@@ -337,10 +304,10 @@ def radial_scan(
 
     All radii share one sample set (common random numbers), which is what
     makes the decrease of lp_error along increasing radii visible at modest
-    sample counts.  The Poisson values come from the truncated series with
-    order selected so the certified tail is below RADIAL_TAIL_TOL: f's H(p,q)
-    components are evaluated once on the batch, and the slice at r weighs
-    each by r^(p+q) S_(p,q)(r^2) / G(r^2).
+    sample counts.  f's H(p,q) components are evaluated once on the batch,
+    and the slice at r weighs each by r^(p+q) phi_pq(r^2): 1 when p q = 0,
+    else its profile cut at the order whose certified tail is below
+    RADIAL_TAIL_TOL.
     """
     if not (math.isfinite(p) and p >= 1):
         raise DomainError(f"exponent must be finite with p >= 1, got {p}")
@@ -353,15 +320,15 @@ def radial_scan(
     batch = sampler.sample_batch(n_samples)
     zp, zc = _PowerTable(batch), _PowerTable(np.conj(batch))
     boundary = f._eval_on(zp, zc)
-    values = [(sum(bidegree), h._eval_on(zp, zc)) for bidegree, h in f.harmonics().items()]
+    values = [(bidegree, h._eval_on(zp, zc)) for bidegree, h in f.harmonics().items()]
     rows = []
     for r in radii:
-        order = choose_poisson_order(f, r)
-        radial, normalizer = _series_sums(f, np.array([r * r]), order)
+        order, level = choose_poisson_order(f, r), np.array([r * r])
         # elementwise, not a BLAS product: the same bits with any BLAS or thread count
         slice_vals = np.zeros(n_samples, dtype=np.complex128)
-        for (degree, h_vals), weight in zip(values, radial[0] / normalizer[0]):
-            slice_vals = slice_vals + r ** degree * weight * h_vals
+        for (p_h, q_h), h_vals in values:
+            weight = _profile(p_h, q_h, f.dim, level, order)[0] if p_h * q_h else 1.0
+            slice_vals = slice_vals + r ** (p_h + q_h) * weight * h_vals
         err, err_se = _lp_estimate(slice_vals - boundary, p)
         norm_r, _ = _lp_estimate(slice_vals, p)
         rows.append(

@@ -219,14 +219,14 @@ MIXED2 = (
 # the per-radius route (reference_radial_rows) differs by at most 3e-16 relative
 COORDINATE_RADIAL = (
     "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n"
-    "0.5,2,0.35586004807848864,0.0022674234000518625,0.35586004211291977,2000,3\n"
-    "0.90000000000000002,2,0.071172009622105403,0.00045348468005120018,0.64054808056930301,2000,3\n"
+    "0.5,2,0.35586004509570424,0.0022674233810465396,0.35586004509570424,2000,3\n"
+    "0.90000000000000002,2,0.071172009019140822,0.00045348467620930782,0.64054808117226758,2000,3\n"
 )
 MIXED2_RADIAL = (
     "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n"
-    "0.29999999999999999,2,0.62001916398156742,0.007345785402417879,0.11471181247658692,2000,5\n"
-    "0.5,2,0.52239746815292654,0.0060742732287353716,0.21731693817886402,2000,5\n"
-    "0.69999999999999996,2,0.38307079348066531,0.0043369609574958204,0.35623546274002243,2000,5\n"
+    "0.29999999999999999,2,0.62001916302840376,0.0073457853890996003,0.11471181319647236,2000,5\n"
+    "0.5,2,0.52239746734967185,0.006074273216399596,0.21731693899118712,2000,5\n"
+    "0.69999999999999996,2,0.38307079330075311,0.0043369609521854476,0.35623546316460636,2000,5\n"
 )
 
 
@@ -516,6 +516,42 @@ class TestRadialScanCommand:
             assert proc.returncode == 3 and proc.stdout == ""
             (line,) = proc.stderr.splitlines()
             assert json.loads(line)["error"]["type"] == "ConvergenceError"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [COORDINATE] + [
+            json.dumps({"n": n, "terms": [{"mu": [0] * n, "nu": [1] + [0] * (n - 1), "re": "1/1", "im": "0/1"}]})
+            for n in (2, 300, 1000)
+        ],
+        ids=["z1", "conj-z1-n2", "conj-z1-n300", "conj-z1-n1000"],
+    )
+    def test_one_component_obeys_the_exact_radial_law(self, capsys, tmp_path, doc):
+        # P[h](r zeta) = r h(zeta) for h = zeta_1 or conj(zeta_1): on the same samples the
+        # slice misses f by (1 - r) |f| and has norm r |f|
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "radial-scan", "--input", str(path), "--radii", "0.5,0.9,0.999", "--samples", "200")
+        assert (code, err) == (0, "")
+        rows = [list(map(float, row.split(","))) for row in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == [0.5, 0.9, 0.999]
+        for r, _, lp_error, _, lp_norm_r, _, _ in rows:
+            assert lp_error / (1 - r) == pytest.approx(lp_norm_r / r, rel=1e-12, abs=0)
+
+    def test_constant_has_zero_error_near_the_sphere(self, capsys, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text('{"n": 1, "terms": [{"mu": [0], "nu": [0], "re": "1/1", "im": "0/1"}]}')
+        code, out, err = run(capsys, "radial-scan", "--input", str(path), "--radii", "0.999", "--samples", "100")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].split(",")[2:5] == ["0", "0", "1"]
+
+    @pytest.mark.parametrize("doc", [COUNTEREXAMPLE, MIXED2], ids=["readme", "mixed2"])
+    def test_mixed_data_scans_near_the_sphere(self, capsys, tmp_path, doc):
+        path = tmp_path / "f.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "radial-scan", "--input", str(path), "--radii", "0.5,0.9,0.999", "--samples", "500")
+        assert (code, err) == (0, "")
+        rows = out.splitlines()[1:]
+        assert len(rows) == 3 and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
 
     def test_coefficient_past_float_range_is_one_json_error(self, capsys, tmp_path):
         # exact data parses; the float side cannot hold a 401-digit coefficient

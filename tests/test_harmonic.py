@@ -1,10 +1,11 @@
 """Bigraded harmonic components and the Poisson series summed through them.
 
 SpherePolynomial.harmonics() splits f exactly into H(p,q) components; the
-Poisson series multiplies each by one scalar radial series.  The exact
-tests are identities; the series is compared with the term-by-term route
-(tests/reference_poisson.py), the raw double sum, the closed 2F1 form and
-Monte-Carlo.
+Poisson integral multiplies each by its radial profile, and the series cuts
+each mixed profile.  The exact tests are identities; the series is compared
+with the exact cut profiles, with the truncated moment expansion
+(tests/reference_poisson.py) and the raw double sum within both certified
+tails, with the closed 2F1 form, and with Monte-Carlo.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from balltrace.transforms import (
     poisson_transform_mc,
 )
 
-from reference_poisson import reference_poisson_series
+from reference_poisson import reference_poisson_series, reference_profile_eval, reference_series_tail
 from test_line_keyed import polys
 from test_transforms import brute_poisson_series, mono
 
@@ -107,11 +108,16 @@ class TestSeriesThroughComponents:
     @given(polys(), st.integers(0, 8), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_matches_term_by_term_route(self, f, order, seed):
+        # the exact cut profiles at an equal cut; the term-by-term moment expansion
+        # within the sum of both certified tails
         Z = ball_points(np.random.default_rng(seed), f.dim, 4, 0.8)
         got = poisson_series_eval(f, Z, order)
-        want = reference_poisson_series(f, Z, order)
+        want = reference_profile_eval(f, Z, order)
         scale = max(1.0, float(np.max(np.abs(want))))
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        r = float(np.max(np.linalg.norm(Z, axis=1)))
+        tails = poisson_series_tail(f, r, order) + reference_series_tail(f, r, order)
+        assert np.max(np.abs(got - reference_poisson_series(f, Z, order))) <= tails + 1e-12 * scale
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_matches_enumerated_double_sum_in_three_variables(self, order):
@@ -122,9 +128,11 @@ class TestSeriesThroughComponents:
             + mono(3, (0, 1, 0), (0, 0, 0))
         )
         z = np.array([0.3 + 0.2j, -0.25 + 0.1j, 0.1 - 0.4j])
-        assert poisson_series_eval(f, z, order) == pytest.approx(
-            brute_poisson_series(f, z, order), abs=1e-12
-        )
+        got = poisson_series_eval(f, z, order)
+        assert got == pytest.approx(reference_profile_eval(f, z, order), abs=1e-12)
+        r = float(np.linalg.norm(z))
+        tails = poisson_series_tail(f, r, order) + reference_series_tail(f, r, order)
+        assert abs(got - brute_poisson_series(f, z, order)) <= tails
 
     def test_tail_bound_dominates_true_error_on_mixed_data(self):
         f = mono(3, (1, 1, 0), (0, 0, 1)) + mono(3, (1, 0, 0), (1, 0, 0), ComplexFraction(0, 2))

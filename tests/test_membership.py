@@ -247,7 +247,7 @@ class TestMembership:
             random_nonmember_poly(np.random.default_rng(5), 3, 3),
         ],
     )
-    def test_one_scan_at_the_default_order_and_two_below_it(self, monkeypatch, f):
+    def test_one_scan_at_every_order(self, monkeypatch, f):
         orders = []
         line_sums = membership._line_sums
 
@@ -261,7 +261,7 @@ class TestMembership:
         for order in range(bound + 3):
             orders.clear()
             cert = is_boundary_trace(f, sweep_order=order)
-            assert orders == ([bound] if order < bound else []) + [cert.violation_order]
+            assert orders == [max(order, bound)] and cert.violation_order <= max(order, bound)
 
     @pytest.mark.parametrize("run", [sweep, is_boundary_trace])
     @pytest.mark.parametrize("order", [-1, -3, -5])

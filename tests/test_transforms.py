@@ -20,10 +20,17 @@ from balltrace.transforms import (
     poisson_series_eval,
     poisson_series_tail,
     poisson_transform_mc,
+    RADIAL_TAIL_TOL,
     radial_scan,
 )
+from balltrace import transforms
 
-from reference_poisson import reference_radial_rows
+from reference_poisson import (
+    reference_profile,
+    reference_profile_eval,
+    reference_radial_rows,
+    reference_series_tail,
+)
 from test_line_keyed import coeffs
 
 MI = MultiIndex
@@ -206,6 +213,8 @@ class TestPoissonSeries:
 
     @pytest.mark.parametrize("order", [0, 1, 2, 4, 7])
     def test_matches_enumerated_double_sum(self, rng, order):
+        # at an equal cut the exact profile sum; the raw double sum truncates another
+        # series for P[f], so it agrees within the sum of both certified tails
         f = (
             mono(2, (2, 0), (1, 1), ComplexFraction(1, Fraction(1, 2)))
             + mono(2, (1, 0), (0, 1), 2)
@@ -213,9 +222,19 @@ class TestPoissonSeries:
             + SpherePolynomial.one(2)
         )
         z = np.array([0.35 + 0.2j, -0.3 + 0.41j])
-        assert poisson_series_eval(f, z, order) == pytest.approx(
-            brute_poisson_series(f, z, order), abs=1e-11
-        )
+        got = poisson_series_eval(f, z, order)
+        assert got == pytest.approx(reference_profile_eval(f, z, order), abs=1e-11)
+        r = float(np.linalg.norm(z))
+        tails = poisson_series_tail(f, r, order) + reference_series_tail(f, r, order)
+        assert abs(got - brute_poisson_series(f, z, order)) <= tails
+
+    @given(st.integers(1, 4), st.integers(0, 6), st.integers(0, 6), st.integers(0, 40),
+           st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_profile_matches_the_exact_cut_profile(self, dim, p, q, cut, levels):
+        got = transforms._profile(p, q, dim, np.array(levels), cut)
+        want = [float(reference_profile(p, q, dim, Fraction(s), cut)) for s in levels]
+        assert np.allclose(got, want, rtol=1e-12, atol=0)
 
     def test_batch_matches_single(self, sampler2):
         f = mono(2, (1, 0), (0, 1)) + mono(2, (0, 0), (1, 0))
@@ -237,12 +256,16 @@ class TestPoissonSeries:
         with pytest.raises(DomainError):
             poisson_series_eval(SpherePolynomial.one(2), np.array([1.0, 0.0]), 3)
 
-    def test_series_past_the_float_range_raises(self):
-        # conj(zeta_1) in n = 1000: binom(i + 999, 999) overflows a float near i = 400
-        z = np.zeros(1000)
-        z[0] = 0.5
-        with pytest.raises(ConvergenceError):
-            poisson_series_eval(mono(1000, (0,) * 1000, (1,) + (0,) * 999), z, 1024)
+    def test_series_stays_in_the_float_range_in_high_dimension(self):
+        # no profile term exceeds 1, so n = 1000 cannot overflow: conj(zeta_1) passes
+        # unchanged, and zeta_1 conj(zeta_2) matches its exact profile
+        n = 1000
+        z = np.zeros(n, dtype=np.complex128)
+        z[:2] = 0.5, 0.3j
+        assert poisson_series_eval(mono(n, (0,) * n, (1,) + (0,) * (n - 1)), z, 1024) == 0.5
+        mixed = mono(n, (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2))
+        want = reference_profile_eval(mixed, z, 40)
+        assert poisson_series_eval(mixed, z, 40) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestOrderSelection:
@@ -252,24 +275,55 @@ class TestOrderSelection:
             order = choose_poisson_order(f, radius, 1e-8)
             assert poisson_series_tail(f, radius, order) <= 1e-8
 
+    def test_chosen_order_is_the_first_that_fits(self):
+        f = mono(2, (1, 0), (0, 1))
+        orders = set()
+        for radius in (0.0, 0.1, 0.3, 0.5, 0.9):
+            for tol in (1e-2, 1e-6, 1e-8):
+                order = choose_poisson_order(f, radius, tol)
+                assert poisson_series_tail(f, radius, order) <= tol
+                assert order == 0 or poisson_series_tail(f, radius, order - 1) > tol
+                orders.add(order)
+        assert {0, 1, 2} <= orders
+
     def test_collapsible_terms_feasible_at_extreme_radius(self):
         order = choose_poisson_order(mono(2, (0, 0), (1, 0)), 0.99, 1e-8)
         assert poisson_series_tail(mono(2, (0, 0), (1, 0)), 0.99, order) <= 1e-8
 
     def test_unreachable_tolerance_raises(self):
         with pytest.raises(ConvergenceError):
-            choose_poisson_order(mono(2, (0, 0), (1, 0)), 0.999999, 1e-300, max_order=64)
+            choose_poisson_order(mono(2, (1, 0), (0, 1)), 0.999999, 1e-300, max_order=64)
+
+    def test_no_mixed_component_needs_no_terms(self):
+        f = mono(2, (0, 0), (1, 0)) + mono(2, (2, 1), (0, 0)) + mono(2, (1, 0), (1, 0))  # |z_1|^2: H(0,0), H(1,1)
+        assert choose_poisson_order(f - mono(2, (1, 0), (1, 0)), 0.999999, 1e-300) == 0
+        assert choose_poisson_order(f, 0.5, 1e-8) > 0
 
     def test_zero_polynomial(self):
         assert choose_poisson_order(SpherePolynomial.zero(2), 0.9, 1e-8) == 0
 
     @pytest.mark.parametrize("radius", [0.5, 0.9])
-    def test_tail_past_the_float_range_is_not_small(self, radius):
-        # in n = 1000 the tail bound is nan at every order (inf times an underflowed 0)
-        f = mono(1000, (0,) * 1000, (1,) + (0,) * 999)
-        assert math.isnan(poisson_series_tail(f, radius, 1024))
-        with pytest.raises(ConvergenceError):
-            choose_poisson_order(f, radius)
+    def test_tail_stays_in_the_float_range_in_high_dimension(self, radius):
+        # n = 1000: no mixed component, no tail; a mixed one's tail is finite at every
+        # order and the chosen order is the first whose tail fits
+        n = 1000
+        anti = mono(n, (0,) * n, (1,) + (0,) * (n - 1))
+        assert choose_poisson_order(anti, radius) == 0 and poisson_series_tail(anti, radius, 0) == 0
+        mixed = mono(n, (1,) + (0,) * (n - 1), (0, 1) + (0,) * (n - 2))
+        order = choose_poisson_order(mixed, radius)
+        tails = [poisson_series_tail(mixed, radius, k) for k in range(order + 1)]
+        assert all(map(math.isfinite, tails)) and tails == sorted(tails, reverse=True)
+        assert tails[-1] <= RADIAL_TAIL_TOL < tails[-2]
+
+    @given(st.integers(2, 4), st.integers(0, 6), st.integers(0, 6), st.integers(0, 40), st.integers(0, 90))
+    @settings(max_examples=100, deadline=None)
+    def test_tail_bounds_the_exact_profile_tail(self, dim, p, q, order, percent):
+        # zeta_1^p conj(zeta_2)^q is harmonic with mass 1; its profile's exact tail past
+        # the order, summed 200 terms further (s^200 < 1e-18), lies under the bound
+        f = mono(dim, (p,) + (0,) * (dim - 1), (0, q) + (0,) * (dim - 2))
+        radius, s = percent / 100, Fraction(percent, 100) ** 2
+        tail = reference_profile(p, q, dim, s, order + 200) - reference_profile(p, q, dim, s, order)
+        assert float(tail) * radius ** (p + q) <= poisson_series_tail(f, radius, order) * (1 + 1e-12)
 
 
 @st.composite
@@ -337,6 +391,16 @@ class TestRadialScan:
         rows = radial_scan(f, 2.0, [0.3, 0.6, 0.9], SphereSampler(2, 23), 2_000)
         errors = [row.lp_error for row in rows]
         assert errors == sorted(errors, reverse=True)
+
+    def test_no_mixed_component_builds_no_profile(self, monkeypatch):
+        calls = []
+        factors = transforms._profile_factors
+        monkeypatch.setattr(transforms, "_profile_factors", lambda *args: calls.append(args) or factors(*args))
+        f = mono(3, (0, 0, 0), (2, 1, 0)) + mono(3, (1, 0, 1), (0, 0, 0)) + SpherePolynomial.one(3)
+        radial_scan(f, 2.0, [0.0, 0.5, 0.999], SphereSampler(3, 4), 500)
+        assert calls == []
+        radial_scan(f + mono(3, (1, 0, 0), (0, 1, 0)), 2.0, [0.5], SphereSampler(3, 4), 500)
+        assert calls  # the spy sees a mixed component's series
 
     def test_shared_samples_across_radii(self):
         f = mono(2, (0, 0), (1, 0))
