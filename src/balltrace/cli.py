@@ -300,10 +300,9 @@ def _run_verify(n: int, seed: int, samples: int) -> list[tuple[str, bool, str]]:
     checks.append(("Monte-Carlo moments match exact moments", hits == 5, f"{hits}/5 within 4 sigma"))
 
     ok_kernel = True
-    for _ in range(20):
+    for zeta in sampler.sample_batch(20):
         z = _random_ball_point(rng, n, 0.6)
         w = _random_ball_point(rng, n, 0.6)
-        zeta = _random_sphere_point(rng, n)
         series, trunc = cauchy_series(z, w, 25)
         if abs(series - cauchy_kernel(z, w)) > trunc.tail_bound + 1e-12:
             ok_kernel = False
@@ -331,13 +330,6 @@ def _random_ball_point(rng: np.random.Generator, n: int, scale: float) -> np.nda
     z = rng.normal(size=n) + 1j * rng.normal(size=n)
     z /= max(1.0, norm(z))
     return scale * z
-
-
-def _random_sphere_point(rng: np.random.Generator, n: int) -> np.ndarray:
-    z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    while norm(z) == 0.0:
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return z / norm(z)
 
 
 # ---------------------------------------------------------------------------

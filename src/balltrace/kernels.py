@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SingularityError
-from .sphere import _coords, _rows, norm
+from .sphere import _coords, _norm_sq, _pair_inner, herm_inner, norm
 
 SINGULARITY_GUARD = 1e-14
 
@@ -38,14 +38,6 @@ class KernelTruncation:
 
     order: int
     tail_bound: float
-
-
-def _pair_inner(z: np.ndarray, w):
-    """(<z, w_i> for each row w_i of a point or a batch, whether w was a batch); einsum calls no BLAS."""
-    if z.ndim != 1:
-        raise ValueError("first argument must be a single point")
-    rows, batched = _rows(w, z.shape[0])
-    return np.einsum("ij,j->i", np.conj(rows), z), batched
 
 
 def cauchy_kernel(z, w):
@@ -70,12 +62,12 @@ def poisson_kernel(z, zeta):
     of sphere points.
     """
     zv = _coords(z)
+    inner, batched = _pair_inner(zv, zeta)
     n = zv.shape[0]
-    norm_sq = float(np.sum(np.abs(zv) ** 2))
+    norm_sq = float(_norm_sq(zv[None, :])[0])
     if norm_sq >= 1.0:
         raise DomainError(f"poisson kernel requires |z| < 1, got |z|^2 = {norm_sq}")
-    inner, batched = _pair_inner(zv, zeta)
-    out = (1.0 - norm_sq) ** n / np.abs(1.0 - inner) ** (2 * n)
+    out = (1.0 - norm_sq) ** n / _norm_sq((1.0 - inner)[:, None]) ** n
     return out if batched else float(out[0])
 
 
@@ -126,7 +118,7 @@ def cauchy_series(z, w, order: int) -> tuple[complex, KernelTruncation]:
     r = norm(zv) * norm(wv)
     if r >= 1.0:
         raise DivergenceError(f"kernel series requires |z||w| < 1, got {r}")
-    s = complex(_pair_inner(zv, wv)[0][0])
+    s = herm_inner(zv, wv)
     total = 0.0 + 0.0j
     power = 1.0 + 0.0j
     for j in range(order + 1):

@@ -11,15 +11,19 @@ of fixed-size chunks (CHUNK_DRAWS points each); chunk k is generated by a
 Philox counter-based generator keyed with the 128-bit key (seed, k).  The
 stream therefore depends only on (seed, dimension), never on how callers
 slice their batch requests, and disjoint chunks can be generated in
-parallel and merged in chunk order.  A sampler only draws forward: its
-counter is read-only, it starts a chunk's Philox generator when the
-counter enters the chunk, and every later request continues it.  Philox
-fills the draws row by row, so successive draws equal one whole draw, and
-a request generates only the rows it reaches.  Estimators stream the
-sampler in fixed blocks of rows (sample_blocks) and fold each block into a
-running mean and sum of squared deviations (fold_mean_and_stderr), so their
-memory is one block whatever the sample count; mean_and_stderr folds a
-whole batch in the same blocks, so it gives the streamed estimate's bits.
+parallel and merged in chunk order.  A draw is Philox normals made a unit
+vector by an einsum of squares, sqrt and real products: each gives the same
+bits on every SIMD level numpy dispatches to, so the stream does too.  A
+sampler only draws forward: its counter is read-only, it starts a chunk's
+Philox generator when the counter enters the chunk, and every later request
+continues it.  Philox fills the draws row by row, so successive draws equal
+one whole draw, and a request generates only the rows it reaches.
+Estimators stream the sampler in fixed blocks of rows (sample_blocks) and
+fold each block into a running mean and sum of squared deviations
+(fold_mean_and_stderr), so their memory is one block whatever the sample
+count; mean_and_stderr folds a whole batch in the same blocks, so it gives
+the streamed estimate's bits.  Every float length (_norm_sq), Hermitian
+product (_pair_inner) and unit vector of the package is computed here.
 """
 
 from __future__ import annotations
@@ -56,19 +60,16 @@ def as_point(coords) -> np.ndarray:
 
 def herm_inner(z, w) -> complex:
     """Hermitian inner product <z, w> = sum_k z_k * conj(w_k) of two points."""
-    z = np.asarray(z, dtype=np.complex128)
-    w = np.asarray(w, dtype=np.complex128)
-    if z.ndim != 1 or w.ndim != 1:
+    inner, batched = _pair_inner(_coords(z), w)
+    if batched:
         raise ValueError("herm_inner takes single points")
-    if z.shape[0] != w.shape[0]:
-        raise DimensionMismatchError(f"point dimensions differ: {z.shape[0]} vs {w.shape[0]}")
-    return complex(np.sum(z * np.conj(w)))
+    return complex(inner[0])
 
 
 def norm(z):
     """Euclidean length |z| = <z, z>^(1/2) of a point, or the (N,) lengths of an (N, n) batch's rows."""
     rows, batched = _rows(z)
-    lengths = np.linalg.norm(rows, axis=1)
+    lengths = np.sqrt(_norm_sq(rows))
     return lengths if batched else float(lengths[0])
 
 
@@ -118,6 +119,20 @@ def _rows(zeta, *dims: int) -> tuple[np.ndarray, bool]:
     return (z, True) if z.ndim == 2 else (z[None, :], False)
 
 
+def _norm_sq(rows: np.ndarray) -> np.ndarray:
+    """|w|^2 of each complex row w: an einsum of its squared float parts, the same bits at every SIMD level."""
+    v = np.ascontiguousarray(rows).view(np.float64)
+    return np.einsum("ij,ij->i", v, v)
+
+
+def _pair_inner(z: np.ndarray, w):
+    """(<z, w_i> for each row w_i of a point or a batch, whether w was a batch); einsum calls no BLAS."""
+    if z.ndim != 1:
+        raise ValueError("first argument must be a single point")
+    rows, batched = _rows(w, z.shape[0])
+    return np.einsum("ij,j->i", np.conj(rows), z), batched
+
+
 class _PowerTable:
     """Per-coordinate power cache of an (N, n) batch for repeated monomial evaluation."""
 
@@ -164,16 +179,16 @@ def _chunk_rng(seed: int, k: int) -> np.random.Generator:
 def _draw_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
     """Fill the (rows, dim) complex array z with rng's next Gaussian rows; return their norms.
 
-    Each row takes 2 dim draws: the real parts, then the imaginary parts.
-    Callers scale the rows by 1/norm: numpy divides a complex number by a
-    real c as the product with 1/c, so this is the division's bits at about
-    half its cost.
+    Each row takes 2 dim draws: the real parts, then the imaginary parts.  A
+    norm is the square root of the row's _norm_sq; callers scale the rows by
+    1/norm as real products of their float parts.  Philox normals, an einsum
+    of squares, sqrt and real products give the same bits on every SIMD level.
     """
     dim = z.shape[1]
     x = rng.standard_normal((z.shape[0], 2 * dim))
     z.real = x[:, :dim]
     z.imag = x[:, dim:]
-    return np.linalg.norm(z, axis=1)
+    return np.sqrt(_norm_sq(z))
 
 
 def _chunk(seed: int, dim: int, k: int) -> np.ndarray:
@@ -191,7 +206,7 @@ def _chunk(seed: int, dim: int, k: int) -> np.ndarray:
         norms[bad] = _draw_rows(rng, y)
         z[bad] = y
         bad = norms < _ZERO_NORM
-    z *= (1.0 / norms)[:, None]
+    z.view(np.float64)[...] *= (1.0 / norms)[:, None]
     return z
 
 
@@ -235,7 +250,7 @@ class SphereSampler:
             if np.any(norms < _ZERO_NORM):
                 block[...] = _chunk(self.seed, self.dim, k)[off:off + take]
             else:
-                block *= (1.0 / norms)[:, None]
+                block.view(np.float64)[...] *= (1.0 / norms)[:, None]
             done += take
             self._counter += take
         return out
@@ -278,11 +293,11 @@ def fold_mean_and_stderr(blocks):
     for block in blocks:
         rows = block.shape[0]
         block_mean = complex(np.mean(block))
-        dev = block - block_mean
         delta = block_mean - mean
         n += rows
         mean += delta * (rows / n)
-        m2 += float(np.sum(np.square(dev.view(np.float64)))) + abs(delta) ** 2 * (rows * (n - rows) / n)
+        dev_sq = float(np.sum(np.square((block - block_mean).view(np.float64))))
+        m2 += dev_sq + (delta.real * delta.real + delta.imag * delta.imag) * (rows * (n - rows) / n)
     if n == 0:
         raise ValueError("empty sample batch")
     stderr = math.inf if n == 1 else math.sqrt(m2 / (n - 1) / n)

@@ -39,7 +39,7 @@ from . import polynomials
 from .kernels import _binom_coeff, cauchy_kernel, poisson_kernel
 from .multiindex import MultiIndex, graded_indices, monomial_norm_sq
 from .polynomials import MCEstimate, SpherePolynomial, _weighted_mean
-from .sphere import SphereSampler, _PowerTable, _rows, norm
+from .sphere import SphereSampler, _PowerTable, _norm_sq, _rows, norm
 
 RADIAL_TAIL_TOL = 1e-8      # truncation budget used by radial_scan
 MAX_SERIES_ORDER = 4096     # hard cap for automatic order selection
@@ -181,7 +181,7 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
     if order < 0:
         raise ValueError("order must be >= 0")
     Z, batched = _rows(z, f.dim)
-    s = np.sum(np.abs(Z) ** 2, axis=1)
+    s = _norm_sq(Z)
     if np.max(s, initial=0.0) >= 1.0:
         raise DomainError("Poisson series requires |z| < 1 for every point")
 

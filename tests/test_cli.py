@@ -226,7 +226,7 @@ MIXED2_RADIAL = (
     "r,p,lp_error,lp_error_stderr,lp_norm_r,samples,seed\n"
     "0.29999999999999999,2,0.62001916302840376,0.0073457853890996003,0.11471181319647236,2000,5\n"
     "0.5,2,0.52239746734967185,0.006074273216399596,0.21731693899118712,2000,5\n"
-    "0.69999999999999996,2,0.38307079330075311,0.0043369609521854476,0.35623546316460636,2000,5\n"
+    "0.69999999999999996,2,0.38307079330075317,0.0043369609521854485,0.35623546316460641,2000,5\n"
 )
 
 

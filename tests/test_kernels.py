@@ -95,6 +95,13 @@ class TestDimensionMismatch:
         with pytest.raises(DimensionMismatchError):
             kernel(np.zeros(2), np.stack([w, w]))
 
+    @pytest.mark.parametrize("kernel", [cauchy_kernel, poisson_kernel])
+    def test_batch_as_first_argument(self, kernel):
+        # two points of length 0.9: a |z|^2 summed over the batch would be 1.62
+        Z = np.array([[0.9, 0.0], [0.0, 0.9]], dtype=complex)
+        with pytest.raises(ValueError, match="first argument must be a single point"):
+            kernel(Z, Z[0])
+
 
 class TestPoissonKernel:
     def test_center_is_one(self, sampler2):

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,18 +169,50 @@ class TestStreamDigest:
                 s = SphereSampler(dim, seed)
                 for count in (1, 2047, 2048, 30_000, CHUNK_DRAWS, 5):
                     h.update(s.sample_batch(count).tobytes())
-        assert h.hexdigest() == "61cf3366c001e6d27c1c914d8b49791aac24bd880ab2778ec90d58ff58547523"
+        assert h.hexdigest() == "a21dc6ebddf1191e89694ccb33c87f8cb066383b0da5aa78aa65bc869dd31697"
 
     def test_high_dimension_stream_bytes_are_pinned(self):
-        # from n = 8 numpy sums each row's |z_k|^2 pairwise, so a column-by-column
-        # norm keeps the bits of n <= 7 and moves these; the counts cross a chunk boundary
+        # these rows have 16 to 32 float parts, those of n <= 4 at most 8: a norm that sums
+        # each row in blocks of 8 float parts keeps that digest and moves this one; the
+        # counts cross a chunk boundary
         h = hashlib.sha256()
         for dim in (8, 9, 16):
             for seed in (3, 2**63 + 5):
                 s = SphereSampler(dim, seed)
                 for count in (1, 2047, 2048, CHUNK_DRAWS - 3000, 5):
                     h.update(s.sample_batch(count).tobytes())
-        assert h.hexdigest() == "0cac5b89dc22616ab2780cea3e0fb9216ba0c315c99938632298f8279d5c971c"
+        assert h.hexdigest() == "4f9910cfa5b829b6c4a4004966d2e426aee717413c371e76468facdc35a8bec1"
+
+
+def dispatch_digest() -> str:
+    """sha256 of sample_batch bytes in n = 1, 2, 3, 4, 8, 16, with norm and herm_inner on each batch."""
+    h = hashlib.sha256()
+    for dim in (1, 2, 3, 4, 8, 16):
+        batch = SphereSampler(dim, 17).sample_batch(3000)
+        h.update(batch.tobytes())
+        h.update(norm(batch + batch[::-1]).tobytes())  # rows off the sphere too
+        h.update(np.array([herm_inner(z, w) for z, w in zip(batch[:500], batch[::-1])]).tobytes())
+    return h.hexdigest()
+
+
+def test_stream_does_not_depend_on_simd_dispatch():
+    # a child process with every dispatch target this CPU supports switched off runs numpy's
+    # baseline (X86_V2 on x86-64); naming an unsupported target would make numpy warn
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    targets = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches to no target above its baseline")
+    tests, src = Path(__file__).resolve().parent, Path(sphere.__file__).parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    child = (f"import sys; sys.path.insert(0, {str(tests)!r}); "
+             f"from {Path(__file__).stem} import dispatch_digest; print(dispatch_digest())")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == dispatch_digest()
 
 
 class TestMonomialEval:
