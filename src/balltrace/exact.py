@@ -162,11 +162,8 @@ ZERO = ComplexFraction(0)
 
 
 def to_float(q: RationalLike) -> float:
-    """Nearest-float rounding of a rational; raises OverflowError if non-finite."""
-    x = float(as_rational(q))
-    if not math.isfinite(x):
-        raise OverflowError(f"rational value does not fit in a float: {q}")
-    return x
+    """Nearest-float rounding of a rational; past the float range its int division raises OverflowError."""
+    return float(as_rational(q))
 
 
 def to_complex(z: ScalarLike) -> complex:

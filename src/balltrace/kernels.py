@@ -49,7 +49,7 @@ def cauchy_kernel(z, w):
     zv = _coords(z)
     inner, batched = _pair_inner(zv, w)
     denom = 1.0 - inner
-    if np.min(np.abs(denom)) <= SINGULARITY_GUARD:
+    if np.min(_norm_sq(denom[:, None])) <= SINGULARITY_GUARD ** 2:
         raise SingularityError("cauchy kernel evaluated too close to <z, w> = 1")
     out = denom ** (-zv.shape[0])
     return out if batched else complex(out[0])
@@ -67,7 +67,9 @@ def poisson_kernel(z, zeta):
     norm_sq = float(_norm_sq(zv[None, :])[0])
     if norm_sq >= 1.0:
         raise DomainError(f"poisson kernel requires |z| < 1, got |z|^2 = {norm_sq}")
-    out = (1.0 - norm_sq) ** n / _norm_sq((1.0 - inner)[:, None]) ** n
+    # |1 - <z, zeta>|^(2n) as real products: numpy's power loop rounds differently at AVX-512
+    dist_sq = _norm_sq((1.0 - inner)[:, None])
+    out = (1.0 - norm_sq) ** n / math.prod([dist_sq] * n)
     return out if batched else float(out[0])
 
 

@@ -257,16 +257,16 @@ class SpherePolynomial:
     def eval(self, zeta) -> complex | np.ndarray:
         """Float evaluation at a SpherePoint / 1-D point / (N, n) batch."""
         z, batched = _rows(zeta, self.dim)
-        acc = self._eval_on(_PowerTable(z), _PowerTable(np.conj(z)))
+        acc = self._eval_on(_PowerTable(z))
         return acc if batched else complex(acc[0])
 
-    def _eval_on(self, zp: _PowerTable, zc: _PowerTable):
-        """Sum of the terms on the points of the power tables of z and conj(z)."""
-        acc, den = np.zeros(zp.z.shape[:-1], dtype=np.complex128), self._den
+    def _eval_on(self, table: _PowerTable):
+        """Sum of the terms on the points of one power table, read for z and conj(z)."""
+        acc, den = np.zeros(table.z.shape[:-1], dtype=np.complex128), self._den
         for (mu, nu), (re, im) in self._parts.items():
             # re / den rounds as complex(ComplexFraction) does; the ufunc call keeps the coefficient
             # first at every batch length (the operand-order comment in sphere.monomial_eval says why)
-            acc = acc + np.multiply(complex(re / den, im / den), zp.monomial(mu)) * zc.monomial(nu)
+            acc = acc + np.multiply(complex(re / den, im / den), table.monomial(mu)) * table.conj_monomial(nu)
         return acc
 
     def to_json_dict(self) -> dict:

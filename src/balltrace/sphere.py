@@ -23,7 +23,9 @@ fold each block into a running mean and sum of squared deviations
 (fold_mean_and_stderr), so their memory is one block whatever the sample
 count; mean_and_stderr folds a whole batch in the same blocks, so it gives
 the streamed estimate's bits.  Every float length (_norm_sq), Hermitian
-product (_pair_inner) and unit vector of the package is computed here.
+product (_pair_inner), unit vector and power table of the package is
+computed here.  An evaluator builds one _PowerTable per batch: IEEE products
+round sign-symmetrically, so conj(z)^nu is the conjugate of z^nu bit for bit.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _pair_inner(z: np.ndarray, w):
 
 
 class _PowerTable:
-    """Per-coordinate power cache of an (N, n) batch for repeated monomial evaluation."""
+    """Per-coordinate power cache of an (N, n) batch: its monomials in z, and by conjugation in conj(z)."""
 
     def __init__(self, z: np.ndarray):
         self.z = z
@@ -154,6 +156,10 @@ class _PowerTable:
                 out = out * self.power(k, idx[k])
         return out
 
+    def conj_monomial(self, idx: MultiIndex):
+        """conj(z)^idx; the shared ones at idx = 0, whose imaginary zero conjugation would negate."""
+        return np.conj(self.monomial(idx)) if idx.degree else self._pows[0][0]
+
 
 def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     """zeta^alpha * conj(zeta)^beta, pointwise or batched.
@@ -166,7 +172,8 @@ def monomial_eval(zeta, alpha: MultiIndex, beta: MultiIndex):
     # A ufunc call, so the factors multiply in this order at every batch length:
     # numpy reuses a large temporary right operand of * as the output, swapping
     # the operands, and complex products round differently in the two orders.
-    out = np.multiply(_PowerTable(z).monomial(alpha), _PowerTable(np.conj(z)).monomial(beta))
+    table = _PowerTable(z)
+    out = np.multiply(table.monomial(alpha), table.conj_monomial(beta))
     return out if batched else complex(out[0])
 
 

@@ -186,10 +186,10 @@ def poisson_series_eval(f: SpherePolynomial, z, order: int) -> complex | np.ndar
         raise DomainError("Poisson series requires |z| < 1 for every point")
 
     levels, where = np.unique(s, return_inverse=True)
-    zp, zc = _PowerTable(Z), _PowerTable(np.conj(Z))
+    table = _PowerTable(Z)
     total = np.zeros(Z.shape[0], dtype=np.complex128)
     for (p, q), h in f.harmonics().items():
-        values = h._eval_on(zp, zc)
+        values = h._eval_on(table)
         total = total + (_profile(p, q, f.dim, levels, order)[where] * values if p * q else values)
     return total if batched else complex(total[0])
 
@@ -318,9 +318,9 @@ def radial_scan(
     if sampler.dim != f.dim:
         raise DimensionMismatchError("sampler dimension does not match polynomial")
     batch = sampler.sample_batch(n_samples)
-    zp, zc = _PowerTable(batch), _PowerTable(np.conj(batch))
-    boundary = f._eval_on(zp, zc)
-    values = [(bidegree, h._eval_on(zp, zc)) for bidegree, h in f.harmonics().items()]
+    table = _PowerTable(batch)
+    boundary = f._eval_on(table)
+    values = [(bidegree, h._eval_on(table)) for bidegree, h in f.harmonics().items()]
     rows = []
     for r in radii:
         order, level = choose_poisson_order(f, r), np.array([r * r])

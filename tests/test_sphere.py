@@ -9,10 +9,13 @@ import pytest
 
 from balltrace import sphere
 from balltrace.errors import DimensionMismatchError, DomainError
-from balltrace.multiindex import MultiIndex
+from balltrace.kernels import cauchy_kernel, poisson_kernel
+from balltrace.multiindex import MultiIndex, graded_indices
+from balltrace.polynomials import SpherePolynomial
 from balltrace.sphere import (
     CHUNK_DRAWS,
     _chunk,
+    _PowerTable,
     SpherePoint,
     SphereSampler,
     herm_inner,
@@ -20,6 +23,7 @@ from balltrace.sphere import (
     monomial_eval,
     norm,
 )
+from balltrace.transforms import poisson_series_eval, radial_scan
 
 
 class TestInnerAndNorm:
@@ -185,13 +189,20 @@ class TestStreamDigest:
 
 
 def dispatch_digest() -> str:
-    """sha256 of sample_batch bytes in n = 1, 2, 3, 4, 8, 16, with norm and herm_inner on each batch."""
+    """sha256 of sample_batch bytes in n = 1, 2, 3, 4, 8, 16, with norm and herm_inner on each batch,
+    and of both kernel batches in n = 2, 3, 4, 7, 16."""
     h = hashlib.sha256()
     for dim in (1, 2, 3, 4, 8, 16):
         batch = SphereSampler(dim, 17).sample_batch(3000)
         h.update(batch.tobytes())
         h.update(norm(batch + batch[::-1]).tobytes())  # rows off the sphere too
         h.update(np.array([herm_inner(z, w) for z, w in zip(batch[:500], batch[::-1])]).tobytes())
+    for dim in (2, 3, 4, 7, 16):
+        batch = SphereSampler(dim, 23).sample_batch(3000)
+        z = batch[0].copy()
+        z.view(np.float64)[...] *= 0.7  # a real product: |z| = 0.7 with the same bits everywhere
+        h.update(poisson_kernel(z, batch[1:]).tobytes())
+        h.update(cauchy_kernel(z, batch[1:]).tobytes())
     return h.hexdigest()
 
 
@@ -260,6 +271,36 @@ class TestMonomialEval:
             assert np.concatenate(blocks).tobytes() == whole
         # each 1-D point, for the last pair
         assert np.array([monomial_eval(z, alpha, beta) for z in batch]).tobytes() == whole
+
+
+class TestOnePowerTable:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_conj_monomial_is_the_conjugate_table_monomial(self, n):
+        Z = SphereSampler(n, 60 + n).sample_batch(1000)
+        table, conj_table = _PowerTable(Z), _PowerTable(np.conj(Z))
+        for nu in graded_indices(n, 6):  # nu = 0 included: the shared ones keep their +0 imaginary part
+            assert table.conj_monomial(nu).tobytes() == conj_table.monomial(nu).tobytes()
+
+    def test_one_table_per_evaluation(self, monkeypatch):
+        built, init = [], _PowerTable.__init__
+
+        def spy(table, z):
+            built.append(z.shape)
+            init(table, z)
+
+        monkeypatch.setattr(_PowerTable, "__init__", spy)
+        f = SpherePolynomial(2, {((1, 1), (1, 0)): 1, ((0, 2), (0, 0)): 2})  # H(2,1), H(1,0), H(2,0)
+        batch = SphereSampler(2, 5).sample_batch(50)
+        calls = [
+            lambda: f.eval(batch),
+            lambda: monomial_eval(batch, MultiIndex((2, 1)), MultiIndex((0, 1))),
+            lambda: poisson_series_eval(f, 0.5 * batch, 4),
+            lambda: radial_scan(f, 2.0, [0.5, 0.9], SphereSampler(2, 6), 50),
+        ]
+        for call in calls:
+            built.clear()
+            call()
+            assert built == [(50, 2)]
 
 
 class TestMeanAndStderr:
