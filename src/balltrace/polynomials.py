@@ -35,6 +35,7 @@ same integrals: black-box integrands enter only through those paths.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
@@ -550,6 +551,6 @@ def _weighted_mean(
     """
     if n_samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
-    blocks = (weight(batch) * _eval_black_box(g, batch) for batch in sampler.sample_blocks(n_samples))
-    mean, stderr = fold_mean_and_stderr(blocks)
+    with closing(sampler.sample_blocks(n_samples)) as batches:  # stops its drawer on every exit
+        mean, stderr = fold_mean_and_stderr(weight(batch) * _eval_black_box(g, batch) for batch in batches)
     return MCEstimate(value=mean, stderr=stderr, samples=n_samples, seed=sampler.seed)

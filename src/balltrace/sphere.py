@@ -22,15 +22,21 @@ Estimators stream the sampler in fixed blocks of rows (sample_blocks) and
 fold each block into a running mean and sum of squared deviations
 (fold_mean_and_stderr), so their memory is one block whatever the sample
 count; mean_and_stderr folds a whole batch in the same blocks, so it gives
-the streamed estimate's bits.  Every float length (_norm_sq), Hermitian
-product (_pair_inner), unit vector and power table of the package is
-computed here.  An evaluator builds one _PowerTable per batch: IEEE products
+the streamed estimate's bits.  A block stream draws its Gaussians in pieces
+that never cross a chunk, a piece ahead, on one thread that only draws into
+a ring of reused buffers; the caller's thread makes them unit rows as
+sample_batch does, so the bits do not depend on the thread.  Every float
+length (_norm_sq), Hermitian product (_pair_inner), unit vector and power
+table of the package is computed here.  An evaluator builds one _PowerTable per batch: IEEE products
 round sign-symmetrically, so conj(z)^nu is the conjugate of z^nu bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 
 import numpy as np
 
@@ -41,12 +47,19 @@ RENORMALIZE_TOL = 1e-8      # construction renormalizes within this drift
 CHUNK_DRAWS = 1 << 16       # points per RNG chunk; part of the stream format
 
 _MASK64 = (1 << 64) - 1
-# Points per Monte-Carlo block.  A block's arrays stay in cache, and they are
-# small enough that malloc reuses their memory from block to block: with
-# 8192-point blocks it returned the memory to the system and faulted fresh
-# pages each block (about 5000 minor faults per 10^5 points, a quarter of
-# the time in n = 2..4).
+# Points per Monte-Carlo block, the batch an integrand sees.  A block's arrays
+# stay in cache, and they are small enough that malloc reuses their memory
+# from block to block: with 8192-point blocks it returned the memory to the
+# system and faulted fresh pages each block (about 5000 minor faults per 10^5
+# points, a quarter of the time in n = 2..4).  The Gaussians behind the
+# blocks are drawn into reused piece buffers (_PIECE_ROWS), not per block.
 _BLOCK_ROWS = 2048
+# A block stream draws its Gaussians in pieces of this many rows (the first
+# piece is one block), on a thread of its own, into a ring of _RING reused
+# float buffers.  Few large pieces keep the drawer's trips through the GIL to
+# about a dozen per 10^5 points; 2048-row pieces gained half as often.
+_PIECE_ROWS = 4 * _BLOCK_ROWS
+_RING = 3
 _ZERO_NORM = 1e-150         # Gaussian rows shorter than this are redrawn
 
 
@@ -183,8 +196,8 @@ def _chunk_rng(seed: int, k: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
-    """Fill the (rows, dim) complex array z with rng's next Gaussian rows; return their norms.
+def _fill_rows(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Fill the (rows, dim) complex array z from the (rows, 2 dim) Gaussians x; return the rows' norms.
 
     Each row takes 2 dim draws: the real parts, then the imaginary parts.  A
     norm is the square root of the row's _norm_sq; callers scale the rows by
@@ -192,7 +205,6 @@ def _draw_rows(rng: np.random.Generator, z: np.ndarray) -> np.ndarray:
     of squares, sqrt and real products give the same bits on every SIMD level.
     """
     dim = z.shape[1]
-    x = rng.standard_normal((z.shape[0], 2 * dim))
     z.real = x[:, :dim]
     z.imag = x[:, dim:]
     return np.sqrt(_norm_sq(z))
@@ -206,15 +218,69 @@ def _chunk(seed: int, dim: int, k: int) -> np.ndarray:
     """
     rng = _chunk_rng(seed, k)
     z = np.empty((CHUNK_DRAWS, dim), dtype=np.complex128)
-    norms = _draw_rows(rng, z)
+    norms = _fill_rows(rng.standard_normal((CHUNK_DRAWS, 2 * dim)), z)
     bad = norms < _ZERO_NORM
     while np.any(bad):
         y = np.empty((int(np.count_nonzero(bad)), dim), dtype=np.complex128)
-        norms[bad] = _draw_rows(rng, y)
+        norms[bad] = _fill_rows(rng.standard_normal((y.shape[0], 2 * dim)), y)
         z[bad] = y
         bad = norms < _ZERO_NORM
     z.view(np.float64)[...] *= (1.0 / norms)[:, None]
     return z
+
+
+def _spare_cpu() -> bool:
+    """Whether this process may run on more than one CPU, so that a drawer thread runs beside it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) > 1
+    return (os.cpu_count() or 1) > 1
+
+
+def _draw_inline(plan, ring):
+    """The planned pieces, each drawn on the caller's thread into ring[0]: (chunk, row, Gaussians)."""
+    for rng, k, off, rows in plan:
+        x = ring[0][:rows]
+        rng.standard_normal(out=x)
+        yield k, off, x
+
+
+def _draw_ahead(plan, ring):
+    """The planned pieces, drawn ahead on a thread of their own into the ring's free buffers in turn.
+
+    The thread does nothing but draw, so the caller evaluates one piece while
+    the next is drawn: numpy draws normals without holding the GIL.  What the
+    thread raises is raised here; closing this generator stops the thread and
+    joins it.
+    """
+    free, ready, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+    for buf in ring:
+        free.put(buf)
+
+    def draw():
+        try:
+            for rng, k, off, rows in plan:
+                buf = free.get()
+                if stop.is_set():
+                    return
+                rng.standard_normal(out=buf[:rows])
+                ready.put((k, off, buf, rows))
+            ready.put(None)
+        except BaseException as exc:  # raised again in the caller, which would wait forever without it
+            ready.put(exc)
+
+    drawer = threading.Thread(target=draw, name="balltrace-sphere-drawer", daemon=True)
+    drawer.start()
+    try:
+        while (item := ready.get()) is not None:
+            if isinstance(item, BaseException):
+                raise item
+            k, off, buf, rows = item
+            yield k, off, buf[:rows]
+            free.put(buf)
+    finally:
+        stop.set()
+        free.put(None)  # wakes a drawer that waits for a buffer
+        drawer.join()
 
 
 class SphereSampler:
@@ -222,6 +288,8 @@ class SphereSampler:
 
     Two samplers with equal (seed, dim) produce identical streams regardless
     of batch sizes.  The read-only draw counter tracks the stream position.
+    A sampler is not shared across threads, and it takes no request while
+    one of its block streams is open.
     """
 
     def __init__(self, dim: int, seed: int):
@@ -230,45 +298,115 @@ class SphereSampler:
         self.dim = int(dim)
         self.seed = int(seed)
         self._counter = 0
-        self._rng = None    # generator of the counter's chunk, standing at the counter
+        self._rng = None    # generator of the counter's chunk, standing at the counter, or None
+        self._streaming = False
 
     @property
     def counter(self) -> int:
         """Draws taken so far: the stream position of the next draw."""
         return self._counter
 
-    def sample_batch(self, count: int) -> np.ndarray:
-        """Next `count` draws as an (count, dim) array of unit rows.
-
-        A block holding a zero row takes its rows from _chunk, which redraws
-        that row past the chunk's end, where the generator never reaches.
-        """
+    def _check_request(self, count: int) -> None:
         if count < 0:
             raise ValueError("count must be >= 0")
+        if self._streaming:
+            raise RuntimeError("the sampler's block stream is still open")
+
+    def _generator(self, k: int, off: int) -> np.random.Generator:
+        """The generator of chunk k standing at its row off, the stream position of the next draw.
+
+        A block stream closed early has drawn past its counter and left
+        self._rng None: the chunk's generator restarts and draws past the rows
+        already taken, so the stream continues exactly.
+        """
+        if off == 0 or self._rng is None:
+            self._rng = _chunk_rng(self.seed, k)
+            for start in range(0, off, _PIECE_ROWS):
+                self._rng.standard_normal((min(_PIECE_ROWS, off - start), 2 * self.dim))
+        return self._rng
+
+    def _unit(self, x: np.ndarray, z: np.ndarray, k: int, off: int) -> None:
+        """Make z the unit rows of the Gaussians x, drawn from row off of chunk k on.
+
+        If x holds a zero row, z takes its rows from _chunk, which redraws that
+        row past the chunk's end, where the generator never reaches.
+        """
+        norms = _fill_rows(x, z)
+        if np.any(norms < _ZERO_NORM):
+            z[...] = _chunk(self.seed, self.dim, k)[off:off + z.shape[0]]
+        else:
+            z.view(np.float64)[...] *= (1.0 / norms)[:, None]
+
+    def sample_batch(self, count: int) -> np.ndarray:
+        """Next `count` draws as an (count, dim) array of unit rows."""
+        self._check_request(count)
         out = np.empty((count, self.dim), dtype=np.complex128)
         done = 0
         while done < count:
             k, off = divmod(self._counter, CHUNK_DRAWS)
-            if off == 0:
-                self._rng = _chunk_rng(self.seed, k)
             take = min(count - done, CHUNK_DRAWS - off)
-            block = out[done:done + take]
-            norms = _draw_rows(self._rng, block)
-            if np.any(norms < _ZERO_NORM):
-                block[...] = _chunk(self.seed, self.dim, k)[off:off + take]
-            else:
-                block.view(np.float64)[...] *= (1.0 / norms)[:, None]
+            x = self._generator(k, off).standard_normal((take, 2 * self.dim))
+            self._unit(x, out[done:done + take], k, off)
             done += take
             self._counter += take
         return out
 
     def sample_blocks(self, count: int):
-        """Next `count` draws as successive (rows, dim) blocks of at most _BLOCK_ROWS rows."""
-        done = 0
-        while done < count:
-            block = self.sample_batch(min(_BLOCK_ROWS, count - done))
-            done += block.shape[0]
-            yield block
+        """Next `count` draws as successive (rows, dim) blocks of _BLOCK_ROWS rows, the last one shorter.
+
+        The blocks are sample_batch(count) bit for bit, and the counter counts
+        the rows yielded.  The Gaussians are drawn in pieces (_plan); past the
+        first piece a thread draws them a piece ahead (_draw_ahead), unless
+        this process may run on one CPU only.  Close a stream left early
+        (contextlib.closing): that stops its thread.
+        """
+        self._check_request(count)
+        return self._blocks(count)
+
+    def _plan(self, pos: int, end: int):
+        """Draws pos .. end - 1 as pieces in stream order: (generator at the piece, chunk, row, rows).
+
+        The first piece is one block and the others _PIECE_ROWS rows; none
+        crosses a chunk.  Run on the drawer's thread, it moves self._rng along.
+        """
+        size = _BLOCK_ROWS
+        while pos < end:
+            k, off = divmod(pos, CHUNK_DRAWS)
+            rows = min(size, end - pos, CHUNK_DRAWS - off)
+            yield self._generator(k, off), k, off, rows
+            pos += rows
+            size = _PIECE_ROWS
+
+    def _blocks(self, count: int):
+        self._check_request(count)  # another stream may have opened since this one was made
+        end = self._counter + count
+        ahead = count > _BLOCK_ROWS and _spare_cpu()
+        # one allocation: glibc returns separate piece buffers past its mmap threshold
+        # to the system after every call, and they fault in afresh on the next
+        ring = np.empty((_RING if ahead else 1, min(count, _PIECE_ROWS), 2 * self.dim))
+        pieces = (_draw_ahead if ahead else _draw_inline)(self._plan(self._counter, end), ring)
+        block, filled = None, 0
+        self._streaming = True
+        try:
+            for k, off, x in pieces:
+                done = 0
+                while done < x.shape[0]:
+                    if block is None:
+                        rows = min(_BLOCK_ROWS, end - self._counter)
+                        block = np.empty((rows, self.dim), dtype=np.complex128)
+                    take = min(x.shape[0] - done, block.shape[0] - filled)
+                    self._unit(x[done:done + take], block[filled:filled + take], k, off + done)
+                    done += take
+                    filled += take
+                    if filled == block.shape[0]:
+                        self._counter += filled
+                        yield block
+                        block, filled = None, 0
+        finally:
+            pieces.close()
+            self._streaming = False
+            if self._counter != end:
+                self._rng = None    # the pieces went past the rows yielded
 
     def sample(self) -> SpherePoint:
         """One draw, advancing the counter."""

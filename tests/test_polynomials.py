@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -364,6 +365,23 @@ class TestMCMoment:
             mc_moment(g, MI((0, 0)), MI((0, 0)), SphereSampler(2, 3), 3 * sphere._BLOCK_ROWS)
         point = SphereSampler(2, 3).sample_batch(bad_row + 1)[bad_row]
         assert np.array_equal(err.value.point, point)
+
+    def test_no_drawer_outlives_a_failed_estimate(self, monkeypatch):
+        monkeypatch.setattr(sphere, "_spare_cpu", lambda: True)  # draw ahead on a thread
+        blocks = []
+
+        def g(Z):
+            blocks.append(len(Z))
+            out = np.ones(len(Z), dtype=complex)
+            out[0] = np.nan if len(blocks) == 3 else 1
+            return out
+
+        before = threading.active_count()
+        with pytest.raises(EvaluationError) as err:
+            mc_moment(g, MI((0, 0)), MI((0, 0)), SphereSampler(2, 3), 10 * sphere._BLOCK_ROWS)
+        assert err.value.__traceback__ is not None  # it holds the estimator's frames
+        assert len(blocks) == 3
+        assert threading.active_count() == before
 
     def test_memory_does_not_grow_with_samples(self):
         s = SphereSampler(2, 4)

@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,131 @@ class TestChunkPrefix:
         s = SphereSampler(1, 5)
         got = np.concatenate([s.sample_batch(60), s.sample_batch(140)])
         assert np.array_equal(got, _chunk(5, 1, 0)[:200])
+
+
+def draw_ahead(monkeypatch, ahead: bool) -> None:
+    """Make block streams draw ahead on a thread, or inline, whatever CPUs this process may use."""
+    monkeypatch.setattr(sphere, "_spare_cpu", lambda: ahead)
+
+
+PATHS = pytest.mark.parametrize("ahead", [True, False], ids=["ahead", "inline"])
+
+
+class TestBlockStream:
+    """sample_blocks yields sample_batch's rows in blocks, drawn a piece ahead or inline."""
+
+    BLOCK, PIECE = sphere._BLOCK_ROWS, sphere._PIECE_ROWS
+    COUNTS = [
+        1, BLOCK - 1, BLOCK, BLOCK + 1,                    # around the first piece, one block
+        BLOCK + PIECE - 1, BLOCK + PIECE, BLOCK + PIECE + 1,
+        BLOCK + 2 * PIECE - 1, BLOCK + 2 * PIECE + 1,      # around piece multiples
+        CHUNK_DRAWS - 3, CHUNK_DRAWS + 3,                  # across a chunk
+    ]
+
+    @PATHS
+    @pytest.mark.parametrize("start", [5, CHUNK_DRAWS - 100])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 16])
+    def test_blocks_are_the_batch(self, monkeypatch, dim, start, ahead):
+        draw_ahead(monkeypatch, ahead)
+        whole = SphereSampler(dim, 13).sample_batch(start + max(self.COUNTS) + 7)
+        for count in self.COUNTS:
+            s = SphereSampler(dim, 13)
+            s.sample_batch(start)
+            blocks = list(s.sample_blocks(count))
+            assert [len(b) for b in blocks] == [min(self.BLOCK, count - i) for i in range(0, count, self.BLOCK)]
+            assert np.concatenate(blocks).tobytes() == whole[start:start + count].tobytes()
+            assert s.counter == start + count
+            # the next request continues the stream
+            assert s.sample_batch(7).tobytes() == whole[start + count:start + count + 7].tobytes()
+
+    @PATHS
+    def test_zero_rows_in_later_pieces(self, monkeypatch, ahead):
+        # as in TestChunkPrefix: in n = 1 about 4 % of rows are shorter than 0.3, so the
+        # pieces after the first hold some, and they are redrawn past the chunk's end
+        draw_ahead(monkeypatch, ahead)
+        monkeypatch.setattr(sphere, "_ZERO_NORM", 0.3)
+        count = self.BLOCK + 2 * self.PIECE + 100
+        raw = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
+        x = raw.standard_normal((5 + count, 2))
+        assert np.any(np.hypot(x[:, 0], x[:, 1])[5 + self.BLOCK + self.PIECE:] < 0.3)
+        s = SphereSampler(1, 5)
+        s.sample_batch(5)
+        got = np.concatenate(list(s.sample_blocks(count)))
+        assert np.array_equal(got, _chunk(5, 1, 0)[5:5 + count])
+
+    @PATHS
+    @pytest.mark.parametrize("taken", [0, 1, 2, 6])
+    def test_a_closed_stream_continues_exactly(self, monkeypatch, ahead, taken):
+        # the stream starts 5000 rows before chunk 1, so six blocks end inside it
+        draw_ahead(monkeypatch, ahead)
+        start = CHUNK_DRAWS - 5000
+        s = SphereSampler(3, 21)
+        s.sample_batch(start)
+        stream = s.sample_blocks(40_000)
+        got = [next(stream) for _ in range(taken)]
+        stream.close()
+        assert s.counter == start + taken * self.BLOCK
+        got.append(s.sample_batch(10_000))
+        want = SphereSampler(3, 21).sample_batch(s.counter)[start:]
+        assert np.concatenate(got).tobytes() == want.tobytes()
+
+    @PATHS
+    def test_a_drawing_error_reaches_the_caller(self, monkeypatch, ahead):
+        class Exhausted:
+            def standard_normal(self, *args, **kwargs):
+                raise MemoryError("no room for normals")
+
+        chunk_rng = sphere._chunk_rng
+        monkeypatch.setattr(sphere, "_chunk_rng", lambda seed, k: chunk_rng(seed, k) if k == 0 else Exhausted())
+        draw_ahead(monkeypatch, ahead)
+        before = threading.active_count()
+        s = SphereSampler(2, 3)
+        with pytest.raises(MemoryError):
+            for _ in s.sample_blocks(CHUNK_DRAWS + 5000):
+                pass
+        assert threading.active_count() == before
+        assert s.counter == CHUNK_DRAWS  # chunk 0 ends on a block boundary
+
+    def test_concurrent_streams_under_fast_switching(self, monkeypatch):
+        # four samplers, one per thread, each with its drawer: eight threads on the cores,
+        # switching the interpreter lock every microsecond; every stream keeps its bits
+        draw_ahead(monkeypatch, True)
+        count = self.BLOCK + 3 * self.PIECE + 11
+        want = {seed: SphereSampler(2, seed).sample_batch(count) for seed in range(4)}
+        got = {}
+
+        def stream(seed):
+            got[seed] = np.concatenate(list(SphereSampler(2, seed).sample_blocks(count)))
+
+        workers = [threading.Thread(target=stream, args=(seed,)) for seed in want]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert all(got[seed].tobytes() == want[seed].tobytes() for seed in want)
+
+    def test_negative_count_is_refused(self):
+        s = SphereSampler(2, 1)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            s.sample_blocks(-3)
+        assert s.counter == 0
+
+    def test_no_request_while_a_stream_is_open(self):
+        s = SphereSampler(2, 4)
+        stream = s.sample_blocks(3 * self.BLOCK)
+        next(stream)
+        with pytest.raises(RuntimeError):
+            s.sample_batch(1)
+        with pytest.raises(RuntimeError):
+            next(s.sample_blocks(1))
+        stream.close()
+        assert s.sample_batch(1).tobytes() == SphereSampler(2, 4).sample_batch(self.BLOCK + 1)[-1:].tobytes()
 
 
 class TestStreamDigest:
